@@ -29,6 +29,7 @@ from .experiments import (
     degree_law_test,
     dominance_test,
     gap_test,
+    resolve_workers,
     run_resilience_trials,
     sweep_experiment,
 )
@@ -209,7 +210,7 @@ def _csv_rows(rows: list[ExperimentResult]) -> str:
 
 def _write_outputs(csv_text: str, rows: list[ExperimentResult],
                    out_path: Path, cfg: ExperimentConfig,
-                   started: str, workers) -> None:
+                   started: str, workers: int) -> None:
     try:
         out_path.write_text(csv_text)
     except OSError as exc:
@@ -239,17 +240,19 @@ def _write_outputs(csv_text: str, rows: list[ExperimentResult],
 
 def cmd_simulate(args) -> int:
     cfg = _resolve_run_config(args, want_sweep=False)
+    workers = resolve_workers(args.workers, cfg.trials)
     started = datetime.now(timezone.utc).isoformat()
-    rows = [run_resilience_trials(cfg, workers=args.workers)]
-    _write_outputs(_csv_rows(rows), rows, Path(args.out), cfg, started, args.workers)
+    rows = [run_resilience_trials(cfg, workers=workers)]
+    _write_outputs(_csv_rows(rows), rows, Path(args.out), cfg, started, workers)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     cfg = _resolve_run_config(args, want_sweep=True)
+    workers = resolve_workers(args.workers, cfg.trials)
     started = datetime.now(timezone.utc).isoformat()
-    rows = sweep_experiment(cfg, workers=args.workers)
-    _write_outputs(_csv_rows(rows), rows, Path(args.out), cfg, started, args.workers)
+    rows = sweep_experiment(cfg, workers=workers)
+    _write_outputs(_csv_rows(rows), rows, Path(args.out), cfg, started, workers)
     return EXIT_OK
 
 

@@ -3,15 +3,19 @@
 A graph survives any m node failures iff it is (m+1)-connected, so the
 universal quantifier over failure sets is decided exactly via vertex
 connectivity (Menger) rather than by sampling. Fast paths: k=1 by
-traversal, k=2 by articulation-point search; k >= 3 by the node-split
-max-flow reduction with early termination at the queried threshold.
+traversal, k=2 by articulation-point search; k >= 3 by a node-split
+network built once per graph as CSR and solved with a capped Dinic max flow
+per probe pair, with early termination at the queried threshold.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
+
+import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_flow
 
 from .errors import InvalidParameterError, OracleRefusedError
 from .graph import GraphTopology, connected_components, min_degree
@@ -97,59 +101,6 @@ def _has_articulation_point(g: GraphTopology) -> bool:
 
 # -- local vertex connectivity via node-split max flow ----------------------
 
-def _local_node_connectivity(g: GraphTopology, s: int, t: int, limit: int) -> int:
-    """Number of internally vertex-disjoint s-t paths, capped at limit.
-
-    Node-split reduction: node u becomes u_in=2u, u_out=2u+1 with a unit
-    arc; each edge gives unit arcs u_out->v_in and v_out->u_in. Unit
-    capacities make each BFS augmentation worth exactly one path.
-    """
-    if g.has_edge(s, t):
-        raise InvalidParameterError("local connectivity requires non-adjacent endpoints")
-    cap: dict[tuple[int, int], int] = {}
-    adj: list[list[int]] = [[] for _ in range(2 * g.n)]
-
-    def add_arc(a: int, b: int, c: int) -> None:
-        if (a, b) not in cap:
-            cap[(a, b)] = 0
-            cap[(b, a)] = cap.get((b, a), 0)
-            adj[a].append(b)
-            adj[b].append(a)
-        cap[(a, b)] += c
-
-    for u in range(g.n):
-        add_arc(2 * u, 2 * u + 1, 1)
-    for i, j in g.edges:
-        add_arc(2 * i + 1, 2 * j, 1)
-        add_arc(2 * j + 1, 2 * i, 1)
-    source, sink = 2 * s + 1, 2 * t
-    cap[(2 * s, 2 * s + 1)] = limit  # endpoints are not internal nodes
-    cap[(2 * t, 2 * t + 1)] = limit
-
-    flow = 0
-    while flow < limit:
-        prev = {source: source}
-        queue = deque([source])
-        while queue and sink not in prev:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in prev and cap.get((u, v), 0) > 0:
-                    prev[v] = u
-                    if v == sink:
-                        break
-                    queue.append(v)
-        if sink not in prev:
-            break
-        v = sink
-        while v != source:
-            u = prev[v]
-            cap[(u, v)] -= 1
-            cap[(v, u)] += 1
-            v = u
-        flow += 1
-    return flow
-
-
 def _kappa_probe_pairs(g: GraphTopology):
     """Pairs whose local connectivities attain kappa (Esfahanian-Hakimi):
     a minimum-degree node v against its non-neighbors, plus non-adjacent
@@ -164,6 +115,40 @@ def _kappa_probe_pairs(g: GraphTopology):
             yield x, y
 
 
+def _capped_kappa(g: GraphTopology, cap: int, stop_below: int) -> int:
+    """min(cap, local connectivity over the probe pairs), each flow capped at
+    the running minimum; stops once the minimum drops below stop_below.
+
+    Node-split reduction, built once per graph as CSR: node u becomes
+    u_in=2u, u_out=2u+1 with a unit arc; each edge gives unit arcs
+    u_out->v_in and v_out->u_in; a super-source S=2n has a zero-capacity arc
+    to every u_out. Per pair (s, t) the S->s_out arc carries the cap and
+    Dinic runs from S to t_in, so the flow counts internally disjoint s-t
+    paths up to the cap.
+    """
+    n = g.n
+    ends = np.array(list(g.edges), dtype=np.int32).reshape(-1, 2)
+    nodes = np.arange(n, dtype=np.int32)
+    tails = np.concatenate([2 * nodes, 2 * ends[:, 0] + 1, 2 * ends[:, 1] + 1,
+                            np.full(n, 2 * n, dtype=np.int32)])
+    heads = np.concatenate([2 * nodes + 1, 2 * ends[:, 1], 2 * ends[:, 0],
+                            2 * nodes + 1])
+    caps = np.ones(tails.size, dtype=np.int32)
+    caps[-n:] = 0
+    order = np.lexsort((heads, tails))
+    indptr = np.zeros(2 * n + 2, dtype=np.int32)
+    np.cumsum(np.bincount(tails, minlength=2 * n + 1), out=indptr[1:])
+    net = csr_array((caps[order], heads[order], indptr), shape=(2 * n + 1,) * 2)
+    source_arcs = net.data[-n:]  # S's row, sorted by head: S->u_out at u
+    for s, t in _kappa_probe_pairs(g):
+        source_arcs[s] = cap
+        cap = min(cap, maximum_flow(net, 2 * n, 2 * t, method="dinic").flow_value)
+        source_arcs[s] = 0
+        if cap < stop_below:
+            break
+    return cap
+
+
 def vertex_connectivity(g: GraphTopology) -> int:
     """Exact vertex connectivity kappa; 0 for disconnected or single-node."""
     n = g.n
@@ -173,12 +158,7 @@ def vertex_connectivity(g: GraphTopology) -> int:
         return 0
     if len(g.edges) == n * (n - 1) // 2:
         return n - 1
-    kappa = min_degree(g)
-    for s, t in _kappa_probe_pairs(g):
-        kappa = min(kappa, _local_node_connectivity(g, s, t, kappa))
-        if kappa == 0:
-            break
-    return kappa
+    return _capped_kappa(g, min_degree(g), 1)
 
 
 def is_k_connected(g: GraphTopology, k: int) -> bool:
@@ -197,10 +177,7 @@ def is_k_connected(g: GraphTopology, k: int) -> bool:
         return False
     if k == 2:
         return not _has_articulation_point(g)
-    for s, t in _kappa_probe_pairs(g):
-        if _local_node_connectivity(g, s, t, k) < k:
-            return False
-    return True
+    return _capped_kappa(g, k, k) >= k
 
 
 def survives_node_failures(g: GraphTopology, m: int) -> bool:

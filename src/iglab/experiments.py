@@ -39,10 +39,28 @@ DOMINANCE_SLACK_DEFAULT = 0.02  # finite-n stand-in for the 1-o(1/ln n) factor
 
 
 def default_workers() -> int:
+    """RG_LAB_THREADS if set (an integer >= 1), else the CPU count."""
     env = os.environ.get(WORKERS_ENV_VAR)
     if env:
-        return max(1, int(env))
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise InvalidParameterError(
+                f"{WORKERS_ENV_VAR} must be an integer >= 1, got {env!r}")
+        return workers
     return os.cpu_count() or 1
+
+
+def resolve_workers(workers: int | None, trials: int) -> int:
+    """Worker processes used for `trials` trials: `workers` if given (>= 1),
+    else default_workers(), and never more than one per trial."""
+    if workers is None:
+        workers = default_workers()
+    elif workers < 1:
+        raise InvalidParameterError(f"workers must be >= 1, got {workers}")
+    return min(workers, trials)
 
 
 def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
@@ -128,9 +146,8 @@ def _run_chunk(params: ModelParams, m: int, base_seed: int,
 
 def _count_successes(params: ModelParams, m: int, trials: int, base_seed: int,
                      path_prefix: tuple = (), workers: int | None = None) -> int:
-    workers = workers or default_workers()
-    workers = min(workers, trials)
-    if workers <= 1:
+    workers = resolve_workers(workers, trials)
+    if workers == 1:
         return _run_chunk(params, m, base_seed, path_prefix, 0, trials)
     bounds = np.linspace(0, trials, workers + 1, dtype=int)
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -86,8 +86,44 @@ def test_simulate_writes_csv_and_manifest(tmp_path, capsys):
     assert float(row["ci_low"]) <= float(row["empirical_prob"]) <= float(row["ci_high"])
     manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
     assert manifest["config"]["trials"] == 25
+    assert manifest["config"]["workers"] == 1
     assert list(manifest["outputs"]) == ["run.csv"]
     assert manifest["outputs"]["run.csv"].startswith("sha256:")
+
+
+SMALL_RUNS = {
+    "simulate": ("simulate", "-n", 30, "-K", 3, "-P", 12, "-d", 1, "-g", 0.8,
+                 "--trials", 2, "--seed", 1),
+    "sweep": ("sweep", "-n", 30, "-K", 3, "-P", 12, "-d", 1, "--axis", "g",
+              "--values", "0.5,0.8", "--trials", 2, "--seed", 1),
+}
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2"])
+def test_bad_worker_env_is_a_validation_error(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("RG_LAB_THREADS", value)
+    out = tmp_path / "run.csv"
+    assert run_cli(*SMALL_RUNS["simulate"], "--out", out) == 2
+    assert "RG_LAB_THREADS" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_is_a_validation_error(tmp_path, capsys, command, workers):
+    out = tmp_path / "run.csv"
+    assert run_cli(*SMALL_RUNS[command], "--workers", workers, "--out", out) == 2
+    assert "workers must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_manifest_records_workers_used(tmp_path, capsys, monkeypatch):
+    # three from the environment, capped at one worker per trial
+    monkeypatch.setenv("RG_LAB_THREADS", "3")
+    out = tmp_path / "run.csv"
+    assert run_cli(*SMALL_RUNS["simulate"], "--out", out) == 0
+    manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+    assert manifest["config"]["workers"] == 2
 
 
 def test_sweep_rows_recompute_predictions(tmp_path, capsys):

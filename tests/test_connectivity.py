@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -15,8 +15,15 @@ from iglab.connectivity import (
     vertex_connectivity,
 )
 from iglab.errors import OracleRefusedError
-from iglab.generators import gen_er, gen_object_rings_uniform, graph_from_rings, trial_rng
+from iglab.generators import (
+    gen_er,
+    gen_model_graph,
+    gen_object_rings_uniform,
+    graph_from_rings,
+    trial_rng,
+)
 from iglab.graph import GraphTopology, min_degree
+from iglab.theory import ModelParams
 
 
 def complete(n):
@@ -183,3 +190,54 @@ def test_assess_resilience():
     assert v.connected and v.min_degree == 2 and v.k_connected_up_to == 2
     assert v.is_k_connected
     assert assess_resilience(complete(4), 3).k_connected_up_to == 3
+
+
+# -- differential check against networkx above the brute-force cap ----------
+
+def _networkx_kappa(g):
+    nx = pytest.importorskip("networkx")
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges)
+    return nx.node_connectivity(G)
+
+
+def _assert_matches_networkx(g):
+    kappa = _networkx_kappa(g)
+    label = f"n={g.n}, edges={len(g.edges)}, networkx kappa={kappa}"
+    assert vertex_connectivity(g) == kappa, label
+    for k in (3, 4):
+        assert is_k_connected(g, k) == (kappa >= k), f"k={k}, {label}"
+    return kappa
+
+
+def _glued(a, b, width):
+    """a and b side by side, joined by `width` disjoint edges (i, a.n + i)."""
+    edges = [*a.edges, *((x + a.n, y + a.n) for x, y in b.edges)]
+    return GraphTopology(a.n + b.n, edges + [(i, a.n + i) for i in range(width)])
+
+
+def test_connectivity_matches_networkx_on_model_and_er_graphs():
+    # model points (n, K, P) at d = 2, g = 1 and the ER graphs have mean
+    # degrees 6-15 and kappa from 1 to 6, on both sides of k = 3 and 4
+    model_points = ((30, 8, 60), (60, 9, 110), (120, 11, 220), (300, 38, 4000))
+    graphs = [gen_model_graph(ModelParams(n=n, K=K, P=P, d=2, f=1.0, g=1.0),
+                              trial_rng(2024, n, i))
+              for n, K, P in model_points for i in range(3 if n < 300 else 2)]
+    graphs += [gen_er(n, p, trial_rng(2025, n)) for n, p in
+               ((40, 0.2), (80, 0.08), (150, 0.05), (200, 0.04))]
+    kappas = [_assert_matches_networkx(g) for g in graphs]
+    assert min(kappas) < 3 and max(kappas) >= 4
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_connectivity_matches_networkx_on_glued_graphs(k):
+    params = ModelParams(n=40, K=8, P=60, d=2, f=1.0, g=1.0)
+    draws = (gen_model_graph(params, trial_rng(2026, k, j)) for j in range(60))
+    a, b = islice((g for g in draws if min_degree(g) >= k), 2)
+    # both pass the min-degree filter, so both need the full flow decision
+    cut = _glued(a, b, k - 1)  # the k - 1 ends in a separate it: a known "no"
+    joined = _glued(a, b, k)
+    assert min_degree(cut) >= k and min_degree(joined) >= k
+    assert _assert_matches_networkx(cut) < k
+    assert _assert_matches_networkx(joined) >= k
