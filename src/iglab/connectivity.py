@@ -18,7 +18,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_flow
 
 from .errors import InvalidParameterError, OracleRefusedError
-from .graph import GraphTopology, connected_components, min_degree
+from .graph import GraphTopology, component_labels, min_degree
 
 _BRUTE_FORCE_NODE_CAP = 16
 
@@ -38,7 +38,7 @@ class ResilienceVerdict:
 def is_connected(g: GraphTopology) -> bool:
     if g.n < 1:
         raise InvalidParameterError("is_connected requires at least one node")
-    return len(connected_components(g)) == 1
+    return component_labels(g)[0] == 1
 
 
 def min_degree_at_least(g: GraphTopology, k: int) -> bool:
@@ -53,11 +53,11 @@ def remove_nodes(g: GraphTopology, victims) -> GraphTopology:
     victims = set(victims)
     if not victims <= set(range(g.n)):
         raise InvalidParameterError("victims must be a subset of node ids")
-    survivors = [v for v in range(g.n) if v not in victims]
-    relabel = {v: i for i, v in enumerate(survivors)}
-    edges = ((relabel[i], relabel[j]) for i, j in g.edges
-             if i not in victims and j not in victims)
-    return GraphTopology(len(survivors), edges)
+    alive = np.ones(g.n, dtype=bool)
+    alive[[int(v) for v in victims]] = False
+    relabel = np.cumsum(alive) - 1
+    kept = g.pairs[alive[g.pairs].all(axis=1)]
+    return GraphTopology(g.n - len(victims), relabel[kept])
 
 
 # -- articulation points (k=2 fast path) -----------------------------------
@@ -65,13 +65,15 @@ def remove_nodes(g: GraphTopology, victims) -> GraphTopology:
 def _has_articulation_point(g: GraphTopology) -> bool:
     """Iterative Hopcroft-Tarjan cut-vertex search; assumes g connected."""
     n = g.n
+    indptr = g.indptr.tolist()
+    indices = g.indices.tolist()
     disc = [-1] * n
     low = [0] * n
     parent = [-1] * n
     timer = 0
     root = 0
     root_children = 0
-    stack = [(root, iter(g.neighbors(root)))]
+    stack = [(root, iter(indices[indptr[root]:indptr[root + 1]]))]
     disc[root] = low[root] = timer
     timer += 1
     while stack:
@@ -84,16 +86,17 @@ def _has_articulation_point(g: GraphTopology) -> bool:
                 timer += 1
                 if u == root:
                     root_children += 1
-                stack.append((v, iter(g.neighbors(v))))
+                stack.append((v, iter(indices[indptr[v]:indptr[v + 1]])))
                 advanced = True
                 break
-            elif v != parent[u]:
-                low[u] = min(low[u], disc[v])
+            elif v != parent[u] and disc[v] < low[u]:
+                low[u] = disc[v]
         if not advanced:
             stack.pop()
             pu = parent[u]
             if pu != -1:
-                low[pu] = min(low[pu], low[u])
+                if low[u] < low[pu]:
+                    low[pu] = low[u]
                 if pu != root and low[u] >= disc[pu]:
                     return True
     return root_children > 1
@@ -105,12 +108,13 @@ def _kappa_probe_pairs(g: GraphTopology):
     """Pairs whose local connectivities attain kappa (Esfahanian-Hakimi):
     a minimum-degree node v against its non-neighbors, plus non-adjacent
     pairs among v's neighbors."""
-    v = min(range(g.n), key=g.degree)
-    nbrs = g.neighbors(v)
-    for w in range(g.n):
-        if w != v and w not in nbrs:
-            yield v, w
-    for x, y in combinations(sorted(nbrs), 2):
+    v = int(np.diff(g.indptr).argmin())
+    nbrs = g.indices[g.indptr[v]:g.indptr[v + 1]]
+    others = np.ones(g.n, dtype=bool)
+    others[nbrs] = others[v] = False
+    for w in np.flatnonzero(others).tolist():
+        yield v, w
+    for x, y in combinations(nbrs.tolist(), 2):
         if not g.has_edge(x, y):
             yield x, y
 
@@ -127,7 +131,7 @@ def _capped_kappa(g: GraphTopology, cap: int, stop_below: int) -> int:
     paths up to the cap.
     """
     n = g.n
-    ends = np.array(list(g.edges), dtype=np.int32).reshape(-1, 2)
+    ends = g.pairs.astype(np.int32)
     nodes = np.arange(n, dtype=np.int32)
     tails = np.concatenate([2 * nodes, 2 * ends[:, 0] + 1, 2 * ends[:, 1] + 1,
                             np.full(n, 2 * n, dtype=np.int32)])
@@ -156,7 +160,7 @@ def vertex_connectivity(g: GraphTopology) -> int:
         return 0
     if not is_connected(g):
         return 0
-    if len(g.edges) == n * (n - 1) // 2:
+    if g.edge_count() == n * (n - 1) // 2:
         return n - 1
     return _capped_kappa(g, min_degree(g), 1)
 

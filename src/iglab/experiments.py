@@ -19,7 +19,7 @@ from scipy import stats
 from .connectivity import is_k_connected, min_degree_at_least, survives_node_failures
 from .errors import ContainmentViolationError, InvalidParameterError
 from .generators import gen_coupled_pair, gen_er, gen_model_graph, trial_rng
-from .graph import degree_histogram
+from .graph import degree_histogram, intersect_graphs
 from .theory import (
     CriticalResult,
     ModelParams,
@@ -392,7 +392,7 @@ def coupling_validity_rate(n: int, K: int, P: int, d: int, trials: int,
         if pair.coupling_valid:
             valid += 1
             checked += 1
-            if not pair.h.edges <= pair.g.edges:
+            if intersect_graphs(pair.h, pair.g) != pair.h:
                 raise ContainmentViolationError(
                     f"containment violated on valid trial {i}"
                 )

@@ -21,7 +21,9 @@ from .graph import GraphTopology, intersect_graphs
 from .theory import ModelParams
 
 # Sampler cutoff between rejection sampling and per-row partial shuffles;
-# both are exact-uniform, the cutoff is performance-only.
+# both are exact-uniform, the cutoff is performance-only. Rejection also
+# needs K(K-1) <= 2P: a row of K iid draws is all-distinct with probability
+# about exp(-K(K-1)/2P), so past that bound redraws would dominate.
 _REJECTION_DENSITY_CUTOFF = 0.1
 
 
@@ -78,7 +80,7 @@ def gen_object_rings_uniform(n: int, K: int, P: int,
         raise InvalidParameterError(f"n must be non-negative, got {n}")
     if n == 0:
         return ObjectAssignment(rings=[], pool_size=P)
-    if K / P <= _REJECTION_DENSITY_CUTOFF:
+    if K / P <= _REJECTION_DENSITY_CUTOFF and K * (K - 1) <= 2 * P:
         # iid draws conditioned on all-distinct rows == uniform K-subset
         mat = np.sort(rng.integers(0, P, size=(n, K), dtype=np.int64), axis=1)
         while True:
@@ -149,7 +151,7 @@ def graph_from_rings(assign: ObjectAssignment, d: int) -> GraphTopology:
     if d < 1:
         raise InvalidParameterError(f"d must be >= 1, got {d}")
     pairs = _pairs_from_rings(assign, d)
-    return GraphTopology(assign.node_count, map(tuple, pairs))
+    return GraphTopology(assign.node_count, pairs)
 
 
 # -- Erdos-Renyi -----------------------------------------------------------
@@ -186,7 +188,7 @@ def gen_er(n: int, p: float, rng: np.random.Generator) -> GraphTopology:
     if p == 0.0 or m_pairs == 0:
         return GraphTopology(n)
     if p == 1.0:
-        return GraphTopology(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
+        return GraphTopology(n, np.stack(np.triu_indices(n, 1), axis=1))
     idx_parts = []
     pos = -1
     expect = p * m_pairs
@@ -198,7 +200,7 @@ def gen_er(n: int, p: float, rng: np.random.Generator) -> GraphTopology:
         pos = int(positions[-1])
         expect = p * max(0, m_pairs - 1 - pos)
     idx = np.concatenate(idx_parts)
-    return GraphTopology(n, map(tuple, _decode_pair_index(idx, n)))
+    return GraphTopology(n, _decode_pair_index(idx, n))
 
 
 # -- full model ------------------------------------------------------------
@@ -223,7 +225,7 @@ def gen_model_graph(params: ModelParams, rng: np.random.Generator,
     p = params.p
     if p < 1.0:
         pairs = pairs[rng.random(len(pairs)) < p]
-    return GraphTopology(params.n, map(tuple, pairs))
+    return GraphTopology(params.n, pairs)
 
 
 # -- multiset edge graphs ----------------------------------------------------
@@ -242,7 +244,7 @@ def gen_multiset_graph(n: int, b: int, d: int,
     draws = rng.integers(0, m_pairs, size=b, dtype=np.int64)
     uniq, cnt = np.unique(draws, return_counts=True)
     keep = uniq[cnt >= d]
-    return GraphTopology(n, map(tuple, _decode_pair_index(keep, n)))
+    return GraphTopology(n, _decode_pair_index(keep, n))
 
 
 # -- coupling machinery ------------------------------------------------------

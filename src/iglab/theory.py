@@ -11,7 +11,7 @@ t = f * g * s(K, P, d) with s the hypergeometric overlap tail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParameterError
@@ -64,16 +64,6 @@ class RegimeCondition:
     threshold: float
     ok: bool
     description: str
-
-
-@dataclass
-class ScalingDiagnostics:
-    s: float
-    t: float
-    alpha: float
-    m: int
-    predicted_limit: float
-    regime_flags: list = field(default_factory=list)
 
 
 def _validate_kpd(K: int, P: int, d: int) -> None:
@@ -210,20 +200,6 @@ def poisson_pmf(lam: float, ell: int) -> float:
     return math.exp(ell * math.log(lam) - lam - math.lgamma(ell + 1))
 
 
-def scaling_diagnostics(params: ModelParams, m: int) -> ScalingDiagnostics:
-    s = edge_prob_overlap(params.K, params.P, params.d)
-    t = params.p * s
-    alpha = alpha_from_params(params, m)
-    return ScalingDiagnostics(
-        s=s,
-        t=t,
-        alpha=alpha,
-        m=m,
-        predicted_limit=predicted_limit_prob(alpha, m),
-        regime_flags=[c for c in check_regime(params) if not c.ok],
-    )
-
-
 # -- critical parameter solvers ------------------------------------------
 
 CRITICAL_AXES = ("g", "f", "n", "m", "K", "P")
@@ -276,15 +252,9 @@ def solve_critical(param_name: str, params: ModelParams, m: int) -> CriticalResu
     return _solve_P(params, m)
 
 
-def _alpha_at(params: ModelParams, m: int) -> float:
-    return alpha_from_params(params, m)
-
-
 def _solve_ratio_axis(axis: str, params: ModelParams, m: int, other: float) -> CriticalResult:
     s = edge_prob_overlap(params.K, params.P, params.d)
     thr = _threshold(params.n, m)
-    denom = params.n  # kept for clarity of the rearrangement below
-    del denom
     if other * s == 0.0:
         return CriticalResult(axis=axis, value=math.inf, feasible=False,
                               note="f*s (resp. g*s) is zero; no finite crossing")
@@ -292,7 +262,7 @@ def _solve_ratio_axis(axis: str, params: ModelParams, m: int, other: float) -> C
     feasible = star <= 1.0
     alpha = None
     if feasible:
-        alpha = _alpha_at(params.replace(**{axis: star}), m)
+        alpha = alpha_from_params(params.replace(**{axis: star}), m)
     return CriticalResult(axis=axis, value=star, feasible=feasible,
                           alpha_at_value=alpha,
                           boundary_hit=(alpha == 0.0 if alpha is not None else False),

@@ -5,7 +5,11 @@ import sys
 
 import pytest
 
+from iglab import experiments
 from iglab.cli import CSV_COLUMNS, main
+from iglab.errors import ContainmentViolationError
+from iglab.generators import CoupledPair
+from iglab.graph import GraphTopology
 from iglab.theory import (
     ModelParams,
     alpha_from_params,
@@ -194,6 +198,19 @@ def test_verify_gap_and_coupling(capsys):
     assert "validity rate" in out
     payload = json.loads(out[out.index("{"):])
     assert payload["trials"] == 5
+
+
+def test_containment_violation_is_raised_and_exits_4(monkeypatch, capsys):
+    # A pair marked valid whose binomial-side graph h has an edge missing from g.
+    broken = CoupledPair(h=GraphTopology(4, [(0, 1), (2, 3)]),
+                         g=GraphTopology(4, [(0, 1), (1, 2)]),
+                         coupling_valid=True, x=0.1)
+    monkeypatch.setattr(experiments, "gen_coupled_pair", lambda *args: broken)
+    with pytest.raises(ContainmentViolationError):
+        experiments.coupling_validity_rate(4, 50, 500, 2, trials=3)
+    assert run_cli("verify", "coupling", "-n", 200, "-K", 50, "-P", 500,
+                   "-d", 2, "--trials", 3) == 4
+    assert "invariant violation" in capsys.readouterr().err
 
 
 def test_verify_degree_and_dominance(capsys):

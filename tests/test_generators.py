@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -65,6 +67,26 @@ def test_uniform_rings_inclusion_frequency():
     expect = n * K / P
     sigma = math.sqrt(n * (K / P) * (1 - K / P))
     assert np.all(np.abs(counts - expect) < 4 * sigma)
+
+
+def test_uniform_rings_large_rings_in_sparse_pool_finish():
+    # K/P = 0.05 but K(K-1)/2P = 12.5: a row of iid draws is all-distinct with
+    # probability ~e^-12.5, so rejection sampling redraws each row ~3e5 times.
+    # Run in a child process so a hang fails the test instead of stalling the suite.
+    code = (
+        "import numpy as np\n"
+        "from iglab.generators import gen_object_rings_uniform, trial_rng\n"
+        "a = gen_object_rings_uniform(10, 500, 10 ** 4, trial_rng(4, 0))\n"
+        "assert len(a.rings) == 10\n"
+        "for r in a.rings:\n"
+        "    assert len(r) == 500 and (np.diff(r) > 0).all() and 0 <= r[0] and r[-1] < 10 ** 4\n"
+    )
+    try:
+        done = subprocess.run([sys.executable, "-c", code], timeout=20,
+                              capture_output=True, text=True)
+    except subprocess.TimeoutExpired:
+        pytest.fail("gen_object_rings_uniform(10, 500, 10**4) did not finish in 20 s")
+    assert done.returncode == 0, done.stderr
 
 
 def test_uniform_rings_validation():

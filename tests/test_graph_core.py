@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,18 +19,30 @@ def complete(n):
     return GraphTopology(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
-def test_construction_normalizes_and_deduplicates():
-    g = GraphTopology(4, [(1, 0), (0, 1), (2, 3)])
+# The constructor takes any iterable of pairs or an (E, 2) array.
+edge_forms = pytest.mark.parametrize(
+    "form", [list, lambda edges: np.array(edges, dtype=np.int64)], ids=["tuples", "ndarray"]
+)
+
+
+@edge_forms
+def test_construction_normalizes_and_deduplicates(form):
+    g = GraphTopology(4, form([(1, 0), (0, 1), (2, 3), (3, 2), (2, 3)]))
     assert g.edges == {(0, 1), (2, 3)}
     assert g.has_edge(1, 0) and g.has_edge(0, 1)
     assert g.neighbors(0) == {1}
+    other = GraphTopology(4, [(0, 1), (2, 3)])
+    assert g == other and hash(g) == hash(other)
 
 
-def test_construction_rejects_bad_edges():
+@edge_forms
+def test_construction_rejects_bad_edges(form):
     with pytest.raises(InvalidParameterError):
-        GraphTopology(3, [(0, 0)])
+        GraphTopology(3, form([(0, 0)]))
     with pytest.raises(InvalidParameterError):
-        GraphTopology(3, [(0, 3)])
+        GraphTopology(3, form([(0, 3)]))
+    with pytest.raises(InvalidParameterError):
+        GraphTopology(3, form([(0, -1)]))
 
 
 def test_intersect_trivial_cases():
