@@ -1,8 +1,9 @@
 """Monte-Carlo estimation harness and statistical verification tests.
 
-Every trial draws its graph from a deterministic stream derived from
-(base_seed, sweep point, trial index), so results are bit-identical for any
-worker count and trial ordering. Aggregation is pure counting.
+Every loop over trials maps a per-trial function through _trial_map, with
+one process pool per run. Trial i draws from trial_rng(base_seed, *path, i),
+so results are bit-identical for any worker count; aggregation is pure
+counting of the per-trial records.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import stats
@@ -38,26 +41,19 @@ _WILSON_Z = 1.959963984540054  # two-sided 95%
 DOMINANCE_SLACK_DEFAULT = 0.02  # finite-n stand-in for the 1-o(1/ln n) factor
 
 
-def default_workers() -> int:
-    """RG_LAB_THREADS if set (an integer >= 1), else the CPU count."""
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
+def resolve_workers(workers: int | None, trials: int) -> int:
+    """Worker processes used for `trials` trials: `workers` if given, else
+    RG_LAB_THREADS if set, else the CPU count, and never more than one per
+    trial. A given count or RG_LAB_THREADS must be an integer >= 1."""
+    if workers is None:
+        env = os.environ.get(WORKERS_ENV_VAR)
         try:
-            workers = int(env)
+            workers = int(env) if env else os.cpu_count() or 1
         except ValueError:
             workers = 0
         if workers < 1:
             raise InvalidParameterError(
                 f"{WORKERS_ENV_VAR} must be an integer >= 1, got {env!r}")
-        return workers
-    return os.cpu_count() or 1
-
-
-def resolve_workers(workers: int | None, trials: int) -> int:
-    """Worker processes used for `trials` trials: `workers` if given (>= 1),
-    else default_workers(), and never more than one per trial."""
-    if workers is None:
-        workers = default_workers()
     elif workers < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
     return min(workers, trials)
@@ -132,31 +128,26 @@ class ExperimentResult:
         }
 
 
-def _trial_success(params: ModelParams, m: int, base_seed: int,
-                   path_prefix: tuple, idx: int) -> bool:
-    rng = trial_rng(base_seed, *path_prefix, idx)
-    return survives_node_failures(gen_model_graph(params, rng), m)
-
-
-def _run_chunk(params: ModelParams, m: int, base_seed: int,
-               path_prefix: tuple, lo: int, hi: int) -> int:
-    return sum(_trial_success(params, m, base_seed, path_prefix, i)
-               for i in range(lo, hi))
-
-
-def _count_successes(params: ModelParams, m: int, trials: int, base_seed: int,
-                     path_prefix: tuple = (), workers: int | None = None) -> int:
+@contextmanager
+def _trial_map(workers: int | None, trials: int):
+    """Yield map_trials(trial) -> [trial(0), ..., trial(trials - 1)]. All
+    calls in the run share one process pool, which takes contiguous chunks of
+    trials, one per worker (in-process for one worker). `trial` derives its
+    streams from the index and must pickle: a module-level function or a
+    functools.partial of one."""
+    if trials < 1:
+        raise InvalidParameterError("trials must be >= 1")
     workers = resolve_workers(workers, trials)
-    if workers == 1:
-        return _run_chunk(params, m, base_seed, path_prefix, 0, trials)
-    bounds = np.linspace(0, trials, workers + 1, dtype=int)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_run_chunk, params, m, base_seed, path_prefix,
-                        int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
-        ]
-        return sum(f.result() for f in futures)
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
+        mapper = partial(pool.map, chunksize=-(-trials // workers)) if pool else map
+        yield lambda trial: list(mapper(trial, range(trials)))
+
+
+def _resilience_trial(params: ModelParams, m: int, base_seed: int,
+                      path_prefix: tuple, i: int) -> bool:
+    rng = trial_rng(base_seed, *path_prefix, i)
+    return survives_node_failures(gen_model_graph(params, rng), m)
 
 
 def _make_result(params: ModelParams, m: int, trials: int, successes: int,
@@ -188,8 +179,9 @@ def run_resilience_trials(cfg: ExperimentConfig,
     """Estimate P[model graph survives m node failures] over cfg.trials
     independent samples."""
     started = time.perf_counter()
-    succ = _count_successes(cfg.params, cfg.m, cfg.trials, cfg.base_seed,
-                            (), workers)
+    with _trial_map(workers, cfg.trials) as map_trials:
+        succ = sum(map_trials(partial(_resilience_trial, cfg.params, cfg.m,
+                                      cfg.base_seed, ())))
     return _make_result(cfg.params, cfg.m, cfg.trials, succ, cfg.base_seed,
                         "", None, None, started)
 
@@ -213,13 +205,14 @@ def sweep_experiment(cfg: ExperimentConfig,
     axis, values = cfg.sweep
     critical = solve_critical(axis, cfg.params, cfg.m)
     rows = []
-    for point_idx, value in enumerate(values):
-        params, m = _apply_sweep_value(cfg.params, cfg.m, axis, value)
-        started = time.perf_counter()
-        succ = _count_successes(params, m, cfg.trials, cfg.base_seed,
-                                (point_idx,), workers)
-        rows.append(_make_result(params, m, cfg.trials, succ, cfg.base_seed,
-                                 axis, value, critical, started))
+    with _trial_map(workers, cfg.trials) as map_trials:
+        for point_idx, value in enumerate(values):
+            params, m = _apply_sweep_value(cfg.params, cfg.m, axis, value)
+            started = time.perf_counter()
+            succ = sum(map_trials(partial(_resilience_trial, params, m,
+                                          cfg.base_seed, (point_idx,))))
+            rows.append(_make_result(params, m, cfg.trials, succ, cfg.base_seed,
+                                     axis, value, critical, started))
     return rows
 
 
@@ -280,20 +273,21 @@ def _chi2_against_poisson(counts: np.ndarray, lam: float) -> tuple[float, float]
     return float(chi2), float(p)
 
 
+def _degree_trial(params: ModelParams, hs: tuple[int, ...], base_seed: int,
+                  i: int) -> tuple[int, ...]:
+    hist = degree_histogram(gen_model_graph(params, trial_rng(base_seed, i)))
+    return tuple(hist.get(h, 0) for h in hs)
+
+
 def degree_law_test(params: ModelParams, trials: int, base_seed: int = 0,
                     hs: tuple[int, ...] = (0, 1, 2, 3)) -> DegreeLawReport:
     """Compare the trial-to-trial law of the number of degree-h nodes with
     its asymptotic Poisson law. Reports distances, never a hard verdict."""
     t = edge_prob_model(params)
-    per_h: dict[int, list[int]] = {h: [] for h in hs}
-    for i in range(trials):
-        g = gen_model_graph(params, trial_rng(base_seed, i))
-        hist = degree_histogram(g)
-        for h in hs:
-            per_h[h].append(hist.get(h, 0))
+    with _trial_map(None, trials) as map_trials:
+        records = map_trials(partial(_degree_trial, params, hs, base_seed))
     entries = []
-    for h in hs:
-        counts = np.array(per_h[h])
+    for h, counts in zip(hs, np.array(records, dtype=np.int64).T):
         lam = poisson_degree_mean(params.n, t, h)
         tv = _tv_against_poisson(counts, lam)
         chi2, p = _chi2_against_poisson(counts, lam)
@@ -315,6 +309,13 @@ class DominanceReport:
     trials: int
 
 
+def _dominance_trial(params: ModelParams, z: float, k: int, base_seed: int,
+                     i: int) -> tuple[bool, bool]:
+    gm = gen_model_graph(params, trial_rng(base_seed, i, 0))
+    ge = gen_er(params.n, z, trial_rng(base_seed, i, 1))
+    return is_k_connected(gm, k), is_k_connected(ge, k)
+
+
 def dominance_test(params: ModelParams, trials: int, k: int,
                    eps_z: float = DOMINANCE_SLACK_DEFAULT,
                    base_seed: int = 0) -> DominanceReport:
@@ -323,18 +324,13 @@ def dominance_test(params: ModelParams, trials: int, k: int,
     z = t*(1-eps_z), using paired per-trial seeds."""
     t = edge_prob_model(params)
     z = t * (1.0 - eps_z)
-    succ_model = succ_er = 0
-    for i in range(trials):
-        gm = gen_model_graph(params, trial_rng(base_seed, i, 0))
-        ge = gen_er(params.n, z, trial_rng(base_seed, i, 1))
-        succ_model += is_k_connected(gm, k)
-        succ_er += is_k_connected(ge, k)
-    p_model = succ_model / trials
-    p_er = succ_er / trials
+    with _trial_map(None, trials) as map_trials:
+        records = map_trials(partial(_dominance_trial, params, z, k, base_seed))
+    succ_model, succ_er = map(sum, zip(*records))
+    p_model, p_er = succ_model / trials, succ_er / trials
     lo_m, hi_m = wilson_interval(succ_model, trials)
     lo_e, hi_e = wilson_interval(succ_er, trials)
-    hw = (hi_m - lo_m) / 2 + (hi_e - lo_e) / 2
-    margin = 2.0 * hw
+    margin = (hi_m - lo_m) + (hi_e - lo_e)  # twice the summed half-widths
     return DominanceReport(p_model=p_model, p_er=p_er, z=z,
                            difference=p_model - p_er, margin=margin,
                            holds=p_model >= p_er - margin, trials=trials)
@@ -350,19 +346,19 @@ class GapReport:
     k: int
 
 
+def _gap_trial(params: ModelParams, k: int, base_seed: int, i: int) -> bool:
+    g = gen_model_graph(params, trial_rng(base_seed, i))
+    return min_degree_at_least(g, k) and not is_k_connected(g, k)
+
+
 def gap_test(params: ModelParams, trials: int, k: int,
              base_seed: int = 0) -> GapReport:
     """Frequency of 'minimum degree >= k yet not k-connected' across trials.
     The theory says this gap event vanishes asymptotically."""
     if params.n > 16 and k > 3:
-        raise InvalidParameterError(
-            "gap_test cost guard: k <= 3 required for n > 16"
-        )
-    occurrences = 0
-    for i in range(trials):
-        g = gen_model_graph(params, trial_rng(base_seed, i))
-        if min_degree_at_least(g, k) and not is_k_connected(g, k):
-            occurrences += 1
+        raise InvalidParameterError("gap_test cost guard: k <= 3 required for n > 16")
+    with _trial_map(None, trials) as map_trials:
+        occurrences = sum(map_trials(partial(_gap_trial, params, k, base_seed)))
     lo, hi = wilson_interval(occurrences, trials)
     return GapReport(frequency=occurrences / trials, occurrences=occurrences,
                      trials=trials, ci_low=lo, ci_high=hi, k=k)
@@ -379,24 +375,22 @@ class CouplingReport:
     x: float
 
 
+def _coupling_trial(n: int, K: int, P: int, d: int, base_seed: int,
+                    i: int) -> tuple[bool, float]:
+    pair = gen_coupled_pair(n, K, P, d, trial_rng(base_seed, i))
+    if pair.coupling_valid and intersect_graphs(pair.h, pair.g) != pair.h:
+        raise ContainmentViolationError(f"containment violated on valid trial {i}")
+    return pair.coupling_valid, pair.x
+
+
 def coupling_validity_rate(n: int, K: int, P: int, d: int, trials: int,
                            base_seed: int = 0) -> CouplingReport:
     """Fraction of coupled-pair draws where every binomial ring fit in K.
     On every valid draw, subgraph containment is asserted outright."""
-    valid = 0
-    checked = 0
-    x = math.nan
-    for i in range(trials):
-        pair = gen_coupled_pair(n, K, P, d, trial_rng(base_seed, i))
-        x = pair.x
-        if pair.coupling_valid:
-            valid += 1
-            checked += 1
-            if intersect_graphs(pair.h, pair.g) != pair.h:
-                raise ContainmentViolationError(
-                    f"containment violated on valid trial {i}"
-                )
+    with _trial_map(None, trials) as map_trials:
+        records = map_trials(partial(_coupling_trial, n, K, P, d, base_seed))
+    valid = sum(ok for ok, _ in records)
     lo, hi = wilson_interval(valid, trials)
     return CouplingReport(validity_rate=valid / trials, valid_trials=valid,
                           trials=trials, ci_low=lo, ci_high=hi,
-                          containment_checked=checked, x=x)
+                          containment_checked=valid, x=records[-1][1])

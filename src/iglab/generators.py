@@ -26,6 +26,13 @@ from .theory import ModelParams
 # about exp(-K(K-1)/2P), so past that bound redraws would dominate.
 _REJECTION_DENSITY_CUTOFF = 0.1
 
+# Most within-object node pairs, sum over objects of C(U_i, 2), that
+# _pairs_from_rings builds. Peak memory is ~48 bytes per pair (~2.9 GB at the
+# budget). The largest count any test or benchmark workload reaches is ~5.0e5
+# (n = 1000, K = 100, P = 10^4), 120 times below; n = 10^5, K = 100,
+# P = 10^4 would need ~5e9.
+_PAIR_KEY_BUDGET = 60_000_000
+
 
 def trial_rng(base_seed: int, *path: int) -> np.random.Generator:
     """Counter-based (Philox) stream keyed by (base_seed, path).
@@ -117,17 +124,23 @@ def _pairs_from_rings(assign: ObjectAssignment, d: int) -> np.ndarray:
     Inverted-index counting: group ring memberships by object, emit all
     within-object node pairs, then threshold co-occurrence counts. Same
     graph as pairwise set intersection, much cheaper in the sparse regime.
+    Raises InvalidParameterError, before any pair is built, when the pairs
+    number more than _PAIR_KEY_BUDGET.
     """
     n = assign.node_count
     lens = np.fromiter((len(r) for r in assign.rings), dtype=np.int64, count=n)
     total = int(lens.sum())
     if total == 0 or n < 2:
         return np.empty((0, 2), dtype=np.int64)
-    node_ids = np.repeat(np.arange(n, dtype=np.int64), lens)
     obj_ids = np.concatenate([r for r in assign.rings if len(r)]) if total else np.empty(0, np.int64)
-    order = np.argsort(obj_ids, kind="stable")
-    nodes_sorted = node_ids[order]
     counts = np.bincount(obj_ids, minlength=assign.pool_size)
+    pair_keys = int((counts * (counts - 1) // 2).sum())
+    if pair_keys > _PAIR_KEY_BUDGET:
+        raise InvalidParameterError(
+            f"the rings give {pair_keys} within-object node pairs, above the "
+            f"budget of {_PAIR_KEY_BUDGET}; lower n or K, or raise P")
+    node_ids = np.repeat(np.arange(n, dtype=np.int64), lens)
+    nodes_sorted = node_ids[np.argsort(obj_ids, kind="stable")]
     starts = np.concatenate(([0], np.cumsum(counts)))
     key_parts = []
     for u in np.unique(counts[counts >= 2]):

@@ -22,9 +22,11 @@ from iglab.connectivity import (
     survives_node_failures,
 )
 from iglab.experiments import (
+    ExperimentConfig,
     _tv_against_poisson,
     coupling_validity_rate,
     gap_test,
+    run_resilience_trials,
 )
 from iglab.generators import (
     gen_er,
@@ -159,13 +161,6 @@ def test_a04_resilience_equivalence():
             f"{elapsed:.1f}s (< 60s)")
 
 
-def _survival_frequency(params, m, trials, seed):
-    return sum(
-        survives_node_failures(gen_model_graph(params, trial_rng(seed, i)), m)
-        for i in range(trials)
-    ) / trials
-
-
 def test_a05_zero_one_transition():
     """Connectivity probability crosses from <= 0.25 to >= 0.75 around g*.
 
@@ -191,8 +186,10 @@ def test_a05_zero_one_transition():
         assert abs(predicted_limit_prob(alpha, 0) - target) < 1e-9
         probes.append((alpha, g, target))
     (alpha_lo, lo_g, lim_lo), (alpha_hi, hi_g, lim_hi) = probes
-    p_lo = _survival_frequency(base.replace(g=lo_g), 0, 500, 1005)
-    p_hi = _survival_frequency(base.replace(g=hi_g), 0, 500, 1006)
+    p_lo = run_resilience_trials(
+        ExperimentConfig(base.replace(g=lo_g), 0, 500, 1005)).empirical_prob
+    p_hi = run_resilience_trials(
+        ExperimentConfig(base.replace(g=hi_g), 0, 500, 1006)).empirical_prob
     elapsed = time.perf_counter() - started
     ok = p_lo <= 0.25 and p_hi >= 0.75 and elapsed < 600.0
     _report("zero-one-transition", ok,
@@ -208,7 +205,7 @@ def test_a06_limit_probability_calibration():
     g_zero = solve_critical("g", base, 0).value  # alpha = 0 at this g
     params = base.replace(g=g_zero)
     assert abs(alpha_from_params(params, 0)) < 1e-9
-    p_emp = _survival_frequency(params, 0, 1000, 1007)
+    p_emp = run_resilience_trials(ExperimentConfig(params, 0, 1000, 1007)).empirical_prob
     target = math.exp(-1.0)
     elapsed = time.perf_counter() - started
     ok = abs(p_emp - target) <= 0.12 and elapsed < 600.0

@@ -102,6 +102,14 @@ SMALL_RUNS = {
               "--values", "0.5,0.8", "--trials", 2, "--seed", 1),
 }
 
+VERIFY_RUNS = {
+    "degree": ("verify", "degree", "-n", 30, "-K", 3, "-P", 12, "-d", 1),
+    "dominance": ("verify", "dominance", "-n", 30, "-K", 3, "-P", 12, "-d", 1,
+                  "-k", 1),
+    "gap": ("verify", "gap", "-n", 30, "-K", 3, "-P", 12, "-d", 1, "-k", 2),
+    "coupling": ("verify", "coupling", "-n", 200, "-K", 50, "-P", 500, "-d", 2),
+}
+
 
 @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2"])
 def test_bad_worker_env_is_a_validation_error(tmp_path, capsys, monkeypatch, value):
@@ -110,6 +118,15 @@ def test_bad_worker_env_is_a_validation_error(tmp_path, capsys, monkeypatch, val
     assert run_cli(*SMALL_RUNS["simulate"], "--out", out) == 2
     assert "RG_LAB_THREADS" in capsys.readouterr().err
     assert not out.exists()
+    # verify takes no --workers flag but follows the same worker policy
+    assert run_cli(*VERIFY_RUNS["gap"], "--trials", 2) == 2
+    assert "RG_LAB_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subtest", list(VERIFY_RUNS))
+def test_verify_zero_trials_is_a_validation_error(capsys, subtest):
+    assert run_cli(*VERIFY_RUNS[subtest], "--trials", 0) == 2
+    assert "trials must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -200,13 +217,18 @@ def test_verify_gap_and_coupling(capsys):
     assert payload["trials"] == 5
 
 
-def test_containment_violation_is_raised_and_exits_4(monkeypatch, capsys):
+# With two workers the violation is raised in a worker process and has to
+# cross the process boundary. Workers start by fork, Linux's default start
+# method, so they see the patched sampler.
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_containment_violation_is_raised_and_exits_4(monkeypatch, capsys, threads):
+    monkeypatch.setenv("RG_LAB_THREADS", threads)
     # A pair marked valid whose binomial-side graph h has an edge missing from g.
     broken = CoupledPair(h=GraphTopology(4, [(0, 1), (2, 3)]),
                          g=GraphTopology(4, [(0, 1), (1, 2)]),
                          coupling_valid=True, x=0.1)
     monkeypatch.setattr(experiments, "gen_coupled_pair", lambda *args: broken)
-    with pytest.raises(ContainmentViolationError):
+    with pytest.raises(ContainmentViolationError, match="valid trial 0$"):
         experiments.coupling_validity_rate(4, 50, 500, 2, trials=3)
     assert run_cli("verify", "coupling", "-n", 200, "-K", 50, "-P", 500,
                    "-d", 2, "--trials", 3) == 4

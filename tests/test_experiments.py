@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from iglab import experiments
 from iglab.connectivity import is_connected
 from iglab.errors import InvalidParameterError
 from iglab.experiments import (
@@ -60,6 +61,39 @@ def test_worker_count_does_not_change_results():
     parallel = run_resilience_trials(cfg, workers=4)
     assert serial.successes == parallel.successes
     assert serial.to_dict()["empirical_prob"] == parallel.to_dict()["empirical_prob"]
+
+
+def test_sweep_points_share_one_pool(monkeypatch):
+    pools = []
+
+    class CountingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    cfg = ExperimentConfig(params=ModelParams(n=60, K=4, P=20, d=2, f=0.9, g=0.9),
+                           m=0, trials=12, base_seed=5,
+                           sweep=("g", (0.5, 0.7, 0.9)))
+    rows = sweep_experiment(cfg, workers=2)
+    assert len(pools) == 1
+    serial = sweep_experiment(cfg, workers=1)
+    assert [r.successes for r in rows] == [r.successes for r in serial]
+
+
+def test_verify_reports_do_not_depend_on_worker_count(monkeypatch):
+    params = ModelParams(n=60, K=4, P=30, d=1, f=1.0, g=0.6)
+
+    def reports():
+        return (degree_law_test(params, trials=30, base_seed=3),
+                dominance_test(params, trials=30, k=2, base_seed=3),
+                gap_test(params, trials=30, k=2, base_seed=3),
+                coupling_validity_rate(200, 50, 500, 2, trials=6, base_seed=3))
+
+    monkeypatch.setenv("RG_LAB_THREADS", "1")
+    serial = reports()
+    monkeypatch.setenv("RG_LAB_THREADS", "2")
+    assert reports() == serial
 
 
 def test_m_zero_matches_plain_connectivity():

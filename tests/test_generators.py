@@ -89,6 +89,25 @@ def test_uniform_rings_large_rings_in_sparse_pool_finish():
     assert done.returncode == 0, done.stderr
 
 
+def test_overlap_pair_budget_fails_fast(tmp_path):
+    # n = 10^5, K = 100, P = 10^4 puts ~1000 nodes on each object, so the
+    # within-object node pairs number ~5e9 (40 GB as int64 keys alone). The run must stop
+    # with exit 2 before building them. The child's address space is capped,
+    # so a build that does start ends in MemoryError, not the OOM killer.
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+        "from iglab.cli import main\n"
+        "sys.exit(main(['simulate', '-n', '100000', '-K', '100', '-P', '10000',\n"
+        "               '-d', '2', '--trials', '1', '--workers', '1',\n"
+        "               '--out', sys.argv[1]]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "run.csv")],
+                          timeout=120, capture_output=True, text=True)
+    assert done.returncode == 2, done.stderr
+    assert "within-object node pairs" in done.stderr
+
+
 def test_uniform_rings_validation():
     with pytest.raises(InvalidParameterError):
         gen_object_rings_uniform(5, 4, 3, trial_rng(0, 0))
