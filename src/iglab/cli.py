@@ -100,10 +100,11 @@ def _params_from_args(args, n: int | None = None) -> ModelParams:
 # -- subcommands -------------------------------------------------------------
 
 def cmd_edge_prob(args) -> int:
+    p = _params_from_args(args, n=2).p  # n is unused; K, P, d, f, g are checked
     s = edge_prob_overlap_exact(args.K, args.P, args.d)
     approx = approx_edge_prob_overlap(args.K, args.P, args.d)
     s_f = float(s)
-    t = args.f * args.g * s_f
+    t = p * s_f
     rel = abs(approx - s_f) / s_f if s_f > 0 else math.inf
     print(f"s exact    = {_fmt_rational(s)}")
     print(f"s float    = {_fmt(s_f)}")
@@ -165,12 +166,17 @@ def _resolve_run_config(args, want_sweep: bool) -> ExperimentConfig:
     raw: dict = {}
     if args.config:
         raw = _parse_config_file(Path(args.config))
+    def parse(cast, name, text):
+        try:
+            return cast(text)
+        except ValueError:
+            raise InvalidParameterError(f"{name} must be {cast.__name__}, got {text!r}") from None
     def pick(name, cast, default=None, required=False):
         cli_val = getattr(args, name, None)
         if cli_val is not None:
             return cli_val
         if name in raw:
-            return cast(raw[name])
+            return parse(cast, name, raw[name])
         if required and default is None:
             raise InvalidParameterError(f"missing required field {name!r}")
         return default
@@ -194,7 +200,7 @@ def _resolve_run_config(args, want_sweep: bool) -> ExperimentConfig:
         if axis not in CRITICAL_AXES:
             raise InvalidParameterError(f"sweep axis must be one of {CRITICAL_AXES}")
         caster = int if axis in ("n", "K", "P", "m") else float
-        values = tuple(caster(v) for v in str(values_raw).split(","))
+        values = tuple(parse(caster, axis, v) for v in str(values_raw).split(","))
         sweep = (axis, values)
     return ExperimentConfig(params=params, m=m, trials=trials,
                             base_seed=seed, sweep=sweep)

@@ -3,9 +3,9 @@
 A graph survives any m node failures iff it is (m+1)-connected, so the
 universal quantifier over failure sets is decided exactly via vertex
 connectivity (Menger) rather than by sampling. Fast paths: k=1 by
-traversal, k=2 by articulation-point search; k >= 3 by a node-split
-network built once per graph as CSR and solved with a capped Dinic max flow
-per probe pair, with early termination at the queried threshold.
+traversal, k=2 by articulation-point search; k >= 3 by Even's test on a
+maximum-adjacency order, with Dinic max flows on a node-split network built
+once per graph as CSR.
 """
 
 from __future__ import annotations
@@ -102,67 +102,66 @@ def _has_articulation_point(g: GraphTopology) -> bool:
     return root_children > 1
 
 
-# -- local vertex connectivity via node-split max flow ----------------------
+# -- k >= 3: Even's test on a maximum-adjacency order ------------------------
 
-def _kappa_probe_pairs(g: GraphTopology):
-    """Pairs whose local connectivities attain kappa (Esfahanian-Hakimi):
-    a minimum-degree node v against its non-neighbors, plus non-adjacent
-    pairs among v's neighbors."""
-    v = int(np.diff(g.indptr).argmin())
-    nbrs = g.indices[g.indptr[v]:g.indptr[v + 1]]
-    others = np.ones(g.n, dtype=bool)
-    others[nbrs] = others[v] = False
-    for w in np.flatnonzero(others).tolist():
-        yield v, w
-    for x, y in combinations(nbrs.tolist(), 2):
-        if not g.has_edge(x, y):
-            yield x, y
+def _even_k_connected(g: GraphTopology, k: int) -> bool:
+    """Even's test (SIAM J. Comput. 4:393, 1975); needs n > k.
 
+    For an order v_1..v_n, the graph is k-connected iff each non-adjacent
+    pair among v_1..v_k has k internally disjoint paths, and each later v_j
+    has k such paths from a source joined to v_1..v_{j-1}. k earlier
+    neighbours are k paths of length one, and a maximum-adjacency order
+    (from node 0, take the node with the most visited neighbours, lowest id
+    on ties) gives most nodes k of them, so few flows run.
 
-def _capped_kappa(g: GraphTopology, cap: int, stop_below: int) -> int:
-    """min(cap, local connectivity over the probe pairs), each flow capped at
-    the running minimum; stops once the minimum drops below stop_below.
-
-    Node-split reduction, built once per graph as CSR: node u becomes
-    u_in=2u, u_out=2u+1 with a unit arc; each edge gives unit arcs
-    u_out->v_in and v_out->u_in; a super-source S=2n has a zero-capacity arc
-    to every u_out. Per pair (s, t) the S->s_out arc carries the cap and
-    Dinic runs from S to t_in, so the flow counts internally disjoint s-t
-    paths up to the cap.
+    Node-split CSR network, built once: u_in=2u -> u_out=2u+1 with unit
+    capacity, unit arcs u_out->v_in and v_out->u_in per edge, and arcs from a
+    super-source S=2n to every u_in and u_out, of capacity 0 until a check
+    sets them: S->a_out to k for a pair check, S->u_in to 1 per earlier u for
+    the set check (so u's own unit arc still binds). Dinic runs from S to the
+    target's u_in.
     """
     n = g.n
+    visited_nbrs = np.zeros(n, dtype=np.int64)
+    order, earlier = [], []
+    for _ in range(n):
+        v = int(visited_nbrs.argmax())
+        order.append(v)
+        earlier.append(int(visited_nbrs[v]))
+        visited_nbrs[g.indices[g.indptr[v]:g.indptr[v + 1]]] += 1
+        visited_nbrs[v] = -n  # below any unvisited count for good
     ends = g.pairs.astype(np.int32)
-    nodes = np.arange(n, dtype=np.int32)
-    tails = np.concatenate([2 * nodes, 2 * ends[:, 0] + 1, 2 * ends[:, 1] + 1,
-                            np.full(n, 2 * n, dtype=np.int32)])
-    heads = np.concatenate([2 * nodes + 1, 2 * ends[:, 1], 2 * ends[:, 0],
-                            2 * nodes + 1])
+    split = np.arange(2 * n, dtype=np.int32)
+    tails = np.concatenate([split[::2], 2 * ends[:, 0] + 1, 2 * ends[:, 1] + 1,
+                            np.full(2 * n, 2 * n, dtype=np.int32)])
+    heads = np.concatenate([split[1::2], 2 * ends[:, 1], 2 * ends[:, 0], split])
     caps = np.ones(tails.size, dtype=np.int32)
-    caps[-n:] = 0
-    order = np.lexsort((heads, tails))
+    caps[-2 * n:] = 0
+    row_order = np.lexsort((heads, tails))
     indptr = np.zeros(2 * n + 2, dtype=np.int32)
     np.cumsum(np.bincount(tails, minlength=2 * n + 1), out=indptr[1:])
-    net = csr_array((caps[order], heads[order], indptr), shape=(2 * n + 1,) * 2)
-    source_arcs = net.data[-n:]  # S's row, sorted by head: S->u_out at u
-    for s, t in _kappa_probe_pairs(g):
-        source_arcs[s] = cap
-        cap = min(cap, maximum_flow(net, 2 * n, 2 * t, method="dinic").flow_value)
-        source_arcs[s] = 0
-        if cap < stop_below:
-            break
-    return cap
+    net = csr_array((caps[row_order], heads[row_order], indptr), shape=(2 * n + 1,) * 2)
+    source_arcs = net.data[-2 * n:]  # S's row, sorted by head: S->h at h
+    for a, b in combinations(order[:k], 2):
+        if not g.has_edge(a, b):
+            source_arcs[2 * a + 1] = k
+            if maximum_flow(net, 2 * n, 2 * b, method="dinic").flow_value < k:
+                return False
+            source_arcs[2 * a + 1] = 0
+    source_arcs[[2 * u for u in order[:k]]] = 1
+    for v, count in zip(order[k:], earlier[k:]):
+        if count < k and maximum_flow(net, 2 * n, 2 * v, method="dinic").flow_value < k:
+            return False
+        source_arcs[2 * v] = 1
+    return True
 
 
 def vertex_connectivity(g: GraphTopology) -> int:
     """Exact vertex connectivity kappa; 0 for disconnected or single-node."""
-    n = g.n
-    if n <= 1:
-        return 0
-    if not is_connected(g):
-        return 0
-    if g.edge_count() == n * (n - 1) // 2:
-        return n - 1
-    return _capped_kappa(g, min_degree(g), 1)
+    kappa = 0
+    while is_k_connected(g, kappa + 1):
+        kappa += 1
+    return kappa
 
 
 def is_k_connected(g: GraphTopology, k: int) -> bool:
@@ -181,7 +180,7 @@ def is_k_connected(g: GraphTopology, k: int) -> bool:
         return False
     if k == 2:
         return not _has_articulation_point(g)
-    return _capped_kappa(g, k, k) >= k
+    return _even_k_connected(g, k)
 
 
 def survives_node_failures(g: GraphTopology, m: int) -> bool:

@@ -355,8 +355,6 @@ def gap_test(params: ModelParams, trials: int, k: int,
              base_seed: int = 0) -> GapReport:
     """Frequency of 'minimum degree >= k yet not k-connected' across trials.
     The theory says this gap event vanishes asymptotically."""
-    if params.n > 16 and k > 3:
-        raise InvalidParameterError("gap_test cost guard: k <= 3 required for n > 16")
     with _trial_map(None, trials) as map_trials:
         occurrences = sum(map_trials(partial(_gap_trial, params, k, base_seed)))
     lo, hi = wilson_interval(occurrences, trials)

@@ -23,19 +23,17 @@ from iglab.connectivity import (
 )
 from iglab.experiments import (
     ExperimentConfig,
-    _tv_against_poisson,
     coupling_validity_rate,
+    degree_law_test,
     gap_test,
     run_resilience_trials,
 )
 from iglab.generators import (
     gen_er,
-    gen_model_graph,
     gen_object_rings_uniform,
     graph_from_rings,
     trial_rng,
 )
-from iglab.graph import degree_histogram
 from iglab.theory import (
     ModelParams,
     alpha_from_params,
@@ -219,13 +217,9 @@ def test_a07_poisson_isolated_node_law():
     base = ModelParams(n=2000, K=36, P=10 ** 4, d=2, f=1.0, g=1.0)
     g_zero = solve_critical("g", base, 0).value
     params = base.replace(g=g_zero)  # lambda_{n,0} = n e^{-n t} = e^{-alpha} = 1
-    trials = 2000
-    counts = np.array([
-        degree_histogram(gen_model_graph(params, trial_rng(1008, i))).get(0, 0)
-        for i in range(trials)
-    ])
-    mean = float(counts.mean())
-    tv = _tv_against_poisson(counts, 1.0)
+    (entry,) = degree_law_test(params, 2000, base_seed=1008, hs=(0,)).entries
+    assert abs(entry.lam - 1.0) <= 1e-12  # so the TV is against Poisson(1)
+    mean, tv = entry.mean_count, entry.tv_distance
     elapsed = time.perf_counter() - started
     ok = abs(mean - 1.0) <= 0.15 and tv <= 0.08 and elapsed < 900.0
     _report("poisson-isolated-node-law", ok,

@@ -43,6 +43,13 @@ def test_validation_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("-f", 5), ("-g", -0.1)])
+def test_edge_prob_rejects_probability_outside_unit_interval(flag, value, capsys):
+    assert run_cli("edge-prob", "-K", 4, "-P", 10, "-d", 1, flag, value) == 2
+    err = capsys.readouterr().err
+    assert f"{flag[1]} must be in [0,1], got {float(value)}" in err
+
+
 def test_predict_output(capsys):
     assert run_cli("predict", "-n", 1000, "-K", 36, "-P", 10000, "-d", 2,
                    "-g", 0.95) == 0
@@ -197,6 +204,20 @@ def test_config_file_rejects_garbage(tmp_path, capsys):
     cfg.write_text("this is not key value\n")
     out = tmp_path / "x.csv"
     assert run_cli("simulate", "--config", cfg, "--out", out) == 2
+
+
+@pytest.mark.parametrize("how", ["config", "sweep"])
+def test_malformed_number_is_a_validation_error(how, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    if how == "config":
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("n=abc\nK=4\nP=20\nd=1\ntrials=2\n")
+        argv = ("simulate", "--config", cfg, "--out", out)
+    else:
+        argv = ("sweep", "-n", 30, "-K", 3, "-P", 12, "-d", 1, "--trials", 2,
+                "--axis", "g", "--values", "0.5,abc", "--out", out)
+    assert run_cli(*argv) == 2
+    assert "error: " in capsys.readouterr().err
 
 
 def test_missing_config_file_is_io_error(tmp_path, capsys):

@@ -241,3 +241,41 @@ def test_connectivity_matches_networkx_on_glued_graphs(k):
     assert min_degree(cut) >= k and min_degree(joined) >= k
     assert _assert_matches_networkx(cut) < k
     assert _assert_matches_networkx(joined) >= k
+
+
+# -- Even's test: cases where a wrong order, source arc or skip rule fails ---
+
+def test_even_regression_graph_with_min_degree_three_and_kappa_two():
+    g = GraphTopology(9, [(0, 1), (0, 5), (0, 6), (0, 7), (1, 2), (1, 3), (1, 4),
+                          (2, 3), (2, 7), (3, 7), (4, 5), (4, 7), (4, 8), (5, 6),
+                          (5, 7), (6, 7), (6, 8), (7, 8)])
+    assert min_degree(g) == 3
+    assert not is_k_connected(g, 3)
+    assert not brute_force_k_connected(g, 3)
+    assert vertex_connectivity(g) == 2
+
+
+def _separated_parts(k, seed):
+    """Two random (k+2)-regular parts of 12 nodes joined only through k - 1
+    separator nodes, each with 3 neighbours on either side; one far-side node
+    is adjacent to the whole separator. Node labels are shuffled."""
+    nx = pytest.importorskip("networkx")
+    rnd = random.Random(seed)
+    near = nx.random_regular_graph(k + 2, 12, seed=rnd.randrange(2 ** 31))
+    far = nx.random_regular_graph(k + 2, 12, seed=rnd.randrange(2 ** 31))
+    edges = [*near.edges, *((x + 12, y + 12) for x, y in far.edges)]
+    hub = rnd.randrange(12, 24)
+    for s in range(24, 23 + k):
+        others = [x for x in range(12, 24) if x != hub]
+        edges += [(s, x) for x in rnd.sample(range(12), 3) + rnd.sample(others, 2) + [hub]]
+    label = list(range(23 + k))
+    rnd.shuffle(label)
+    return GraphTopology(23 + k, [(label[x], label[y]) for x, y in edges])
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_separator_family_matches_networkx(k):
+    for seed in range(12):
+        g = _separated_parts(k, seed)
+        assert min_degree(g) >= k
+        assert _assert_matches_networkx(g) == k - 1

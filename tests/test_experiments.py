@@ -161,8 +161,7 @@ def test_gap_report_smoke_and_cost_guard():
     report = gap_test(params, trials=100, k=2, base_seed=9)
     assert report.occurrences == report.frequency * report.trials
     assert report.ci_low <= report.frequency <= report.ci_high
-    with pytest.raises(InvalidParameterError):
-        gap_test(params, trials=1, k=4, base_seed=0)
+    assert gap_test(params, trials=1, k=4, base_seed=0).k == 4
 
 
 def test_coupling_report_smoke():
