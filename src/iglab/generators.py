@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import gammainc
 
 from .errors import DegenerateRegimeError, InfeasibleCouplingError, InvalidParameterError
-from .graph import GraphTopology, intersect_graphs
+from .graph import GraphTopology, intersect_graphs, keys_seen_at_least
 from .theory import ModelParams
 
 # Sampler cutoff between rejection sampling and per-row partial shuffles;
@@ -27,10 +27,12 @@ from .theory import ModelParams
 _REJECTION_DENSITY_CUTOFF = 0.1
 
 # Most within-object node pairs, sum over objects of C(U_i, 2), that
-# _pairs_from_rings builds. Peak memory is ~48 bytes per pair (~2.9 GB at the
-# budget). The largest count any test or benchmark workload reaches is ~5.0e5
-# (n = 1000, K = 100, P = 10^4), 120 times below; n = 10^5, K = 100,
-# P = 10^4 would need ~5e9.
+# _pairs_from_rings builds. Its peak memory (ru_maxrss delta at 5e6 and 2e7
+# pairs) is ~27-30 bytes per pair for d >= 2, ~1.8 GB at the budget, and
+# ~42-45 for d = 1, where nearly every pair is an edge; the GraphTopology of
+# such a d = 1 graph then peaks at ~90 bytes per edge. The largest count any
+# test or benchmark workload reaches is ~5.0e5 (n = 1000, K = 100,
+# P = 10^4), 120 times below; n = 10^5, K = 100, P = 10^4 would need ~5e9.
 _PAIR_KEY_BUDGET = 60_000_000
 
 
@@ -78,6 +80,16 @@ def half_count_summary(assign: ObjectAssignment) -> HalfCountSummary:
 
 # -- ring samplers ---------------------------------------------------------
 
+def _uniform_row_blocks(n: int, P: int, rng: np.random.Generator):
+    """The rows of an n x P matrix of iid U[0, 1) draws, in blocks of about
+    2^20 entries (8 MB), so a large n x P never has to fit in memory. The
+    generator fills blocks in row order: the draws do not depend on the
+    block size."""
+    rows = max(1, (1 << 20) // P)
+    for start in range(0, n, rows):
+        yield rng.random((min(rows, n - start), P))
+
+
 def gen_object_rings_uniform(n: int, K: int, P: int,
                              rng: np.random.Generator) -> ObjectAssignment:
     """Independent uniform K-subsets of {0..P-1}, one per node."""
@@ -98,9 +110,8 @@ def gen_object_rings_uniform(n: int, K: int, P: int,
         rings = list(mat)
     else:
         # indices of the K smallest of P iid uniforms == uniform K-subset
-        keys = rng.random((n, P))
-        mat = np.sort(np.argpartition(keys, K - 1, axis=1)[:, :K], axis=1)
-        rings = list(mat.astype(np.int64))
+        rings = [row for keys in _uniform_row_blocks(n, P, rng)
+                 for row in np.sort(np.argpartition(keys, K - 1, axis=1)[:, :K], axis=1)]
     return ObjectAssignment(rings=rings, pool_size=P)
 
 
@@ -111,51 +122,46 @@ def gen_object_rings_binomial(n: int, x: float, P: int,
         raise InvalidParameterError(f"x must be in [0,1], got {x}")
     if P < 1:
         raise InvalidParameterError(f"P must be >= 1, got {P}")
-    mask = rng.random((n, P)) < x
-    rings = [np.nonzero(mask[i])[0].astype(np.int64) for i in range(n)]
+    rings = [np.nonzero(row)[0] for keys in _uniform_row_blocks(n, P, rng)
+             for row in keys < x]
     return ObjectAssignment(rings=rings, pool_size=P)
 
 
 # -- overlap graph ---------------------------------------------------------
 
 def _pairs_from_rings(assign: ObjectAssignment, d: int) -> np.ndarray:
-    """(E, 2) array of node pairs sharing >= d objects.
+    """(E, 2) array of node pairs sharing >= d objects, sorted, i < j.
 
-    Inverted-index counting: group ring memberships by object, emit all
-    within-object node pairs, then threshold co-occurrence counts. Same
-    graph as pairwise set intersection, much cheaper in the sparse regime.
-    Raises InvalidParameterError, before any pair is built, when the pairs
-    number more than _PAIR_KEY_BUDGET.
+    Inverted-index counting: one sort of the keys obj * n + node groups the
+    ring memberships by object, with node ids ascending inside each object.
+    Every member emits the key lo * n + hi for each later member of its
+    object, and the keys seen at least d times are the edges. Same graph as
+    pairwise set intersection, much cheaper in the sparse regime. Raises
+    InvalidParameterError, before any pair is built, when the pairs number
+    more than _PAIR_KEY_BUDGET.
     """
     n = assign.node_count
     lens = np.fromiter((len(r) for r in assign.rings), dtype=np.int64, count=n)
-    total = int(lens.sum())
-    if total == 0 or n < 2:
+    if lens.sum() == 0 or n < 2:
         return np.empty((0, 2), dtype=np.int64)
-    obj_ids = np.concatenate([r for r in assign.rings if len(r)]) if total else np.empty(0, np.int64)
+    obj_ids = np.concatenate(assign.rings).astype(np.int64, copy=False)
     counts = np.bincount(obj_ids, minlength=assign.pool_size)
     pair_keys = int((counts * (counts - 1) // 2).sum())
     if pair_keys > _PAIR_KEY_BUDGET:
         raise InvalidParameterError(
             f"the rings give {pair_keys} within-object node pairs, above the "
             f"budget of {_PAIR_KEY_BUDGET}; lower n or K, or raise P")
-    node_ids = np.repeat(np.arange(n, dtype=np.int64), lens)
-    nodes_sorted = node_ids[np.argsort(obj_ids, kind="stable")]
-    starts = np.concatenate(([0], np.cumsum(counts)))
-    key_parts = []
-    for u in np.unique(counts[counts >= 2]):
-        u = int(u)
-        objs = np.nonzero(counts == u)[0]
-        mat = nodes_sorted[starts[objs][:, None] + np.arange(u)[None, :]]
-        iu, ju = np.triu_indices(u, 1)
-        a = mat[:, iu].ravel()
-        b = mat[:, ju].ravel()
-        key_parts.append(np.minimum(a, b) * n + np.maximum(a, b))
-    if not key_parts:
-        return np.empty((0, 2), dtype=np.int64)
-    keys = np.concatenate(key_parts)
-    uniq, cnt = np.unique(keys, return_counts=True)
-    keep = uniq[cnt >= d]
+    members = np.sort(obj_ids * n + np.repeat(np.arange(n, dtype=np.int64), lens)) % n
+    # position p pairs with the `later` members after it in its object's run
+    position = np.arange(members.size)
+    later = np.repeat(np.cumsum(counts), counts) - position - 1
+    # pair q of position p has right end p + 1 + (q - first pair of p)
+    right = np.repeat(position + 1 - (np.cumsum(later) - later), later) + np.arange(pair_keys)
+    keys = np.repeat(members * n, later)
+    keys += members[right]
+    del right
+    keep = keys_seen_at_least(keys, d)
+    del keys
     return np.stack((keep // n, keep % n), axis=1)
 
 
@@ -171,25 +177,10 @@ def graph_from_rings(assign: ObjectAssignment, d: int) -> GraphTopology:
 
 def _decode_pair_index(q: np.ndarray, n: int) -> np.ndarray:
     """Invert the lexicographic (i<j) pair index i*(2n-i-1)/2 + (j-i-1)."""
-    q = q.astype(np.int64)
-    c = 2 * n - 1
-    i = np.floor((c - np.sqrt(c * c - 8.0 * q)) / 2.0).astype(np.int64)
-    # fix float rounding at block boundaries
-    off = i * (2 * n - i - 1) // 2
-    too_big = off > q
-    while too_big.any():
-        i[too_big] -= 1
-        off = i * (2 * n - i - 1) // 2
-        too_big = off > q
-    nxt = (i + 1) * (2 * n - i - 2) // 2
-    too_small = q >= nxt
-    while too_small.any():
-        i[too_small] += 1
-        off = i * (2 * n - i - 1) // 2
-        nxt = (i + 1) * (2 * n - i - 2) // 2
-        too_small = q >= nxt
-    j = q - off + i + 1
-    return np.stack((i, j), axis=1)
+    rows = np.arange(n, dtype=np.int64)
+    first = rows * (2 * n - rows - 1) // 2  # index of the pair (i, i + 1)
+    i = np.searchsorted(first, q, side="right") - 1
+    return np.stack((i, q - first[i] + i + 1), axis=1)
 
 
 def gen_er(n: int, p: float, rng: np.random.Generator) -> GraphTopology:
@@ -255,9 +246,7 @@ def gen_multiset_graph(n: int, b: int, d: int,
     if b == 0 or m_pairs == 0:
         return GraphTopology(n)
     draws = rng.integers(0, m_pairs, size=b, dtype=np.int64)
-    uniq, cnt = np.unique(draws, return_counts=True)
-    keep = uniq[cnt >= d]
-    return GraphTopology(n, _decode_pair_index(keep, n))
+    return GraphTopology(n, _decode_pair_index(keys_seen_at_least(draws, d), n))
 
 
 # -- coupling machinery ------------------------------------------------------

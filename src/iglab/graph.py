@@ -9,7 +9,7 @@ freely across concurrent trial workers.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -45,9 +45,7 @@ class GraphTopology:
             if i == j:
                 raise InvalidParameterError(f"self-loop at node {i}")
             raise InvalidParameterError(f"edge ({i},{j}) out of range for n={n}")
-        keys = np.sort(lo * n + hi)
-        # np.unique hashes integer keys: ~20x slower here than sort + compare
-        keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
+        keys = keys_seen_at_least(lo * n + hi, 1)
         pairs = np.stack((keys // n, keys % n), axis=1)
         # both directions, sorted by (row, column)
         both = np.sort(np.concatenate((keys, pairs[:, 1] * n + pairs[:, 0])))
@@ -93,6 +91,22 @@ class GraphTopology:
 
     def __repr__(self) -> str:
         return f"GraphTopology(n={self.n}, edges={len(self.pairs)})"
+
+
+def keys_seen_at_least(keys: np.ndarray, d: int) -> np.ndarray:
+    """Sorted distinct values that occur at least d >= 1 times in `keys`.
+
+    One sort, then keep s[i] when it starts a run (s[i] != s[i-1]) that is
+    at least d long (s[i] == s[i+d-1]). np.unique(return_counts=True) gives
+    the same values but hashes integer keys, which is many times slower.
+    """
+    s = np.sort(keys)
+    if s.size < d:
+        return s[:0]
+    head = s[:s.size - d + 1]
+    keep = s[d - 1:] == head
+    keep[1:] &= head[1:] != head[:-1]
+    return head[keep]
 
 
 class DegreeHistogram(dict):
@@ -149,16 +163,12 @@ def dump_edge_list(g: GraphTopology) -> str:
 
 
 def load_edge_list(text: str) -> GraphTopology:
-    it: Iterator[str] = iter(text.splitlines())
-    header = next(it, "").strip()
-    if not header.startswith("n="):
+    header, *rows = text.splitlines() or [""]
+    if not header.strip().startswith("n="):
         raise InvalidParameterError("edge list must start with 'n=<count>' header")
-    n = int(header[2:])
-    edges = []
-    for line in it:
-        line = line.strip()
-        if not line:
-            continue
-        i, j = line.split()
-        edges.append((int(i), int(j)))
+    try:
+        n = int(header.strip()[2:])
+        edges = [(int(i), int(j)) for i, j in (row.split() for row in rows if row.strip())]
+    except ValueError as exc:
+        raise InvalidParameterError(f"malformed edge list: {exc}") from None
     return GraphTopology(n, edges)

@@ -27,6 +27,7 @@ from iglab.generators import (
     poissonization_summary,
     trial_rng,
 )
+from iglab.graph import GraphTopology
 from iglab.theory import ModelParams, edge_prob_model, poisson_pmf
 
 
@@ -108,6 +109,27 @@ def test_overlap_pair_budget_fails_fast(tmp_path):
     assert "within-object node pairs" in done.stderr
 
 
+@pytest.mark.parametrize("command", [["simulate", "--workers", "1", "--out", "{tmp}/run.csv"],
+                                     ["verify", "coupling"]], ids=["uniform", "binomial"])
+def test_dense_ring_draws_fit_before_pair_budget(tmp_path, command):
+    # K = 500 of P = 10^4 takes the dense uniform branch, and verify coupling
+    # draws binomial rings: both look at n x P = 2e8 uniforms (1.5 GiB as one
+    # float64 matrix). Drawn in row blocks, the rings fit under the child's
+    # 1.5 GiB address-space cap, and the pair budget stops the run with exit 2.
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))\n"
+        "from iglab.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    args = [a.format(tmp=tmp_path) for a in command]
+    args += ["-n", "20000", "-K", "500", "-P", "10000", "-d", "2", "--trials", "1"]
+    done = subprocess.run([sys.executable, "-c", code, *args],
+                          timeout=120, capture_output=True, text=True)
+    assert done.returncode == 2, done.stderr
+    assert "within-object node pairs" in done.stderr
+
+
 def test_uniform_rings_validation():
     with pytest.raises(InvalidParameterError):
         gen_object_rings_uniform(5, 4, 3, trial_rng(0, 0))
@@ -121,6 +143,13 @@ def test_graph_from_rings_hand_examples():
     assert graph_from_rings(a, 3).edges == frozenset()  # d above ring sizes
     same = assignment({0, 1, 2}, {0, 1, 2}, {0, 1, 2}, pool=5)
     assert graph_from_rings(same, 2).edges == set(combinations(range(3), 2))
+    apart = assignment({0}, {1, 2}, {3}, {4}, pool=5)  # no object shared
+    assert graph_from_rings(apart, 1).edges == frozenset()
+    gaps = assignment(set(), {0, 1}, set(), {1, 2}, {0, 1, 2}, set(), pool=4)
+    assert graph_from_rings(gaps, 1).edges == {(1, 3), (1, 4), (3, 4)}
+    assert graph_from_rings(gaps, 2).edges == {(1, 4), (3, 4)}
+    nothing = assignment(set(), set(), set(), pool=3)
+    assert graph_from_rings(nothing, 1) == GraphTopology(3)
 
 
 def test_graph_from_rings_matches_pairwise_intersection():

@@ -10,6 +10,7 @@ from iglab.graph import (
     degree_histogram,
     dump_edge_list,
     intersect_graphs,
+    keys_seen_at_least,
     load_edge_list,
     min_degree,
 )
@@ -82,6 +83,30 @@ def test_edge_list_round_trip():
     g = GraphTopology(5, [(0, 4), (1, 2)])
     assert load_edge_list(dump_edge_list(g)) == g
     assert dump_edge_list(g).splitlines()[0] == "n=5"
+
+
+@pytest.mark.parametrize("text", ["", "0 1\n", "n=abc\n", "n=3\n0 1 2\n", "n=3\n0 x\n"],
+                         ids=["empty", "no-header", "bad-count", "three-fields", "bad-node"])
+def test_edge_list_rejects_malformed_text(text):
+    with pytest.raises(InvalidParameterError):
+        load_edge_list(text)
+
+
+# Key multisets: empty, shorter than d, all equal, and random draws with
+# many repeats.
+key_sets = [np.empty(0, np.int64), np.array([5]), np.array([7, 7]), np.full(9, 3),
+            np.array([4, 1, 4, 2, 1, 4]),
+            *(np.random.default_rng(s).integers(0, hi, size) for s, (hi, size) in
+              enumerate([(3, 5), (10, 40), (50, 200), (1000, 3000), (1 << 40, 500)]))]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("keys", key_sets, ids=range(len(key_sets)))
+def test_keys_seen_at_least_matches_unique_counts(keys, d):
+    values, counts = np.unique(keys, return_counts=True)
+    got = keys_seen_at_least(keys, d)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, values[counts >= d])
 
 
 edge_sets = st.integers(2, 8).flatmap(
