@@ -64,10 +64,6 @@ def _fmt(x) -> str:
     """Frozen textual form: 9 significant digits for floats."""
     if x is None:
         return ""
-    if isinstance(x, bool):
-        return str(x)
-    if isinstance(x, int):
-        return str(x)
     if isinstance(x, float):
         if math.isnan(x):
             return "nan"
@@ -244,20 +240,15 @@ def _write_outputs(csv_text: str, rows: list[ExperimentResult],
     print(f"wrote {out_path} and {manifest_path}", file=sys.stderr)
 
 
-def cmd_simulate(args) -> int:
-    cfg = _resolve_run_config(args, want_sweep=False)
+def cmd_run(args) -> int:
+    """The simulate and sweep subcommands."""
+    cfg = _resolve_run_config(args, want_sweep=args.command == "sweep")
     workers = resolve_workers(args.workers, cfg.trials)
     started = datetime.now(timezone.utc).isoformat()
-    rows = [run_resilience_trials(cfg, workers=workers)]
-    _write_outputs(_csv_rows(rows), rows, Path(args.out), cfg, started, workers)
-    return EXIT_OK
-
-
-def cmd_sweep(args) -> int:
-    cfg = _resolve_run_config(args, want_sweep=True)
-    workers = resolve_workers(args.workers, cfg.trials)
-    started = datetime.now(timezone.utc).isoformat()
-    rows = sweep_experiment(cfg, workers=workers)
+    if cfg.sweep:
+        rows = sweep_experiment(cfg, workers=workers)
+    else:
+        rows = [run_resilience_trials(cfg, workers=workers)]
     _write_outputs(_csv_rows(rows), rows, Path(args.out), cfg, started, workers)
     return EXIT_OK
 
@@ -357,12 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--workers", type=int, default=None)
         p.add_argument("--out", required=True, help="output CSV path")
+        p.set_defaults(func=cmd_run)
         if want_sweep:
             p.add_argument("--axis", choices=CRITICAL_AXES)
             p.add_argument("--values", help="comma-separated sweep values")
-            p.set_defaults(func=cmd_sweep)
-        else:
-            p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="statistical verification subtests")
     vsub = p.add_subparsers(dest="subtest", required=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc
 
 from .connectivity import is_k_connected, min_degree_at_least, survives_node_failures
 from .errors import ContainmentViolationError, InvalidParameterError
@@ -38,7 +38,7 @@ from .theory import (
 WORKERS_ENV_VAR = "RG_LAB_THREADS"
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
-DOMINANCE_SLACK_DEFAULT = 0.02  # finite-n stand-in for the 1-o(1/ln n) factor
+DOMINANCE_SLACK = 0.02  # finite-n stand-in for the 1-o(1/ln n) factor
 
 
 def resolve_workers(workers: int | None, trials: int) -> int:
@@ -59,13 +59,14 @@ def resolve_workers(workers: int | None, trials: int) -> int:
     return min(workers, trials)
 
 
-def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval; stable near probabilities 0 and 1."""
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
     if not 0 <= successes <= trials:
         raise InvalidParameterError("successes must lie in [0, trials]")
     phat = successes / trials
+    z = _WILSON_Z
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
@@ -269,8 +270,11 @@ def _chi2_against_poisson(counts: np.ndarray, lam: float) -> tuple[float, float]
         pooled_exp[-1] += acc_e
     if len(pooled_exp) < 2:
         return 0.0, 1.0
-    chi2, p = stats.chisquare(pooled_obs, pooled_exp)
-    return float(chi2), float(p)
+    # Pearson's statistic and its chi-square(cells - 1) upper tail: the float
+    # operations of scipy.stats.chisquare, without importing scipy.stats.
+    o, e = np.array(pooled_obs), np.array(pooled_exp)
+    chi2 = ((o - e) ** 2 / e).sum()
+    return float(chi2), float(chdtrc(len(e) - 1, chi2))
 
 
 def _degree_trial(params: ModelParams, hs: tuple[int, ...], base_seed: int,
@@ -317,13 +321,12 @@ def _dominance_trial(params: ModelParams, z: float, k: int, base_seed: int,
 
 
 def dominance_test(params: ModelParams, trials: int, k: int,
-                   eps_z: float = DOMINANCE_SLACK_DEFAULT,
                    base_seed: int = 0) -> DominanceReport:
     """Check that the model's k-connectivity probability is not below that of
     an Erdos-Renyi graph at the slightly thinned edge probability
-    z = t*(1-eps_z), using paired per-trial seeds."""
+    z = t*(1-DOMINANCE_SLACK), using paired per-trial seeds."""
     t = edge_prob_model(params)
-    z = t * (1.0 - eps_z)
+    z = t * (1.0 - DOMINANCE_SLACK)
     with _trial_map(None, trials) as map_trials:
         records = map_trials(partial(_dominance_trial, params, z, k, base_seed))
     succ_model, succ_er = map(sum, zip(*records))

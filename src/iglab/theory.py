@@ -6,6 +6,12 @@ nodes are adjacent iff their size-K object rings (drawn from a pool of P
 objects) share at least d objects, a Bernoulli(f) friendship layer, and a
 Bernoulli(g) link-survival layer. The per-pair edge probability is
 t = f * g * s(K, P, d) with s the hypergeometric overlap tail.
+
+A critical value is where t crosses (ln n + m ln ln n)/n with the other
+parameters fixed. The f, g and m axes have closed forms. The integer axes n,
+K and P share one search: the step from the lower end doubles until the
+monotone predicate flips, then the last gap is bisected, so every probe
+stays within a factor of 2 of the answer.
 """
 
 from __future__ import annotations
@@ -220,7 +226,6 @@ class CriticalResult:
     value: float
     feasible: bool
     alpha_at_value: float | None = None
-    boundary_hit: bool = False
     note: str = ""
 
 
@@ -245,11 +250,7 @@ def solve_critical(param_name: str, params: ModelParams, m: int) -> CriticalResu
         return _solve_ratio_axis("f", params, m, params.g)
     if param_name == "m":
         return _solve_m(params, m)
-    if param_name == "n":
-        return _solve_n(params, m)
-    if param_name == "K":
-        return _solve_K(params, m)
-    return _solve_P(params, m)
+    return _solve_integer(param_name, params, m)
 
 
 def _solve_ratio_axis(axis: str, params: ModelParams, m: int, other: float) -> CriticalResult:
@@ -265,7 +266,6 @@ def _solve_ratio_axis(axis: str, params: ModelParams, m: int, other: float) -> C
         alpha = alpha_from_params(params.replace(**{axis: star}), m)
     return CriticalResult(axis=axis, value=star, feasible=feasible,
                           alpha_at_value=alpha,
-                          boundary_hit=(alpha == 0.0 if alpha is not None else False),
                           note="" if feasible else "required value exceeds 1")
 
 
@@ -280,105 +280,73 @@ def _solve_m(params: ModelParams, m_query: int) -> CriticalResult:
                               note="even m=0 violates the inequality")
     m_star = math.floor(raw)
     return CriticalResult(axis="m", value=float(m_star), feasible=True,
-                          alpha_at_value=alpha_from_params(params, m_star),
-                          boundary_hit=(raw == m_star))
+                          alpha_at_value=alpha_from_params(params, m_star))
 
 
 _N_CAP = 10 ** 15
+_P_CAP = 10 ** 12
 
 
-def _solve_n(params: ModelParams, m: int) -> CriticalResult:
-    # minimal n >= 3 with t >= (ln n + m ln ln n)/n; t does not depend on n.
-    t = edge_prob_model(params)
-    if t <= 0:
-        return CriticalResult(axis="n", value=math.inf, feasible=False,
-                              note="t = 0; threshold never met")
+def _first_true(ok, lo: int, cap: int) -> int | None:
+    """Smallest v in (lo, cap] with ok(v), for ok false at lo and monotone
+    (false, then true) on [lo, cap]; None when ok(cap) is false.
 
-    def ok(n: int) -> bool:
-        return t >= _threshold(n, m)
-
-    # The threshold is not monotone at very small n (it can rise before the
-    # eventual 1/n decay), so scan a small prefix before bisecting the tail.
-    for n in range(3, 1001):
-        if ok(n):
-            return _n_result(params, m, n)
-    if not ok(_N_CAP):
-        return CriticalResult(axis="n", value=math.inf, feasible=False,
-                              note=f"no n <= {_N_CAP} meets the threshold")
-    lo, hi = 1000, _N_CAP  # ok(lo) False, ok(hi) True; threshold decreasing here
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
+    The step from lo doubles until ok holds, then the last gap is bisected,
+    so no probe lies more than twice as far from lo as the answer does.
+    """
+    below, step = lo, 1
+    while not ok(hi := min(lo + step, cap)):
+        if hi == cap:
+            return None
+        below, step = hi, 2 * step
+    while hi - below > 1:  # ok(below) false, ok(hi) true
+        mid = (below + hi) // 2
         if ok(mid):
             hi = mid
         else:
-            lo = mid
-    return _n_result(params, m, hi)
-
-
-def _n_result(params: ModelParams, m: int, n_star: int) -> CriticalResult:
-    p2 = params.replace(n=n_star)
-    alpha = alpha_from_params(p2, m)
-    return CriticalResult(axis="n", value=float(n_star), feasible=True,
-                          alpha_at_value=alpha, boundary_hit=(alpha == 0.0))
-
-
-def _solve_K(params: ModelParams, m: int) -> CriticalResult:
-    # minimal K in [d..P] with f*g*s(K,P,d) >= threshold; s nondecreasing in K.
-    thr = _threshold(params.n, m)
-    p = params.p
-
-    def ok(K: int) -> bool:
-        return p * edge_prob_overlap(K, params.P, params.d) >= thr
-
-    lo, hi = params.d, params.P
-    if not ok(hi):
-        return CriticalResult(axis="K", value=math.inf, feasible=False,
-                              note="even K = P misses the threshold")
-    if ok(lo):
-        return _int_result("K", params.replace(K=lo), m, lo)
-    # ok(lo) False, ok(hi) True
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
+            below = mid
     # +-1 neighborhood check (bisection soundness guard)
     assert ok(hi) and not ok(hi - 1)
-    return _int_result("K", params.replace(K=hi), m, hi)
+    return hi
 
 
-def _solve_P(params: ModelParams, m: int) -> CriticalResult:
-    # maximal P >= K with f*g*s(K,P,d) >= threshold; s nonincreasing in P.
+def _solve_integer(axis: str, params: ModelParams, m: int) -> CriticalResult:
+    # Extreme integer with t >= threshold: minimal n* and K*, maximal P*.
+    # s(K, P, d) is nondecreasing in K and nonincreasing in P.
+    p, K, P, d = params.p, params.K, params.P, params.d
     thr = _threshold(params.n, m)
-    p = params.p
+    if axis == "n":
+        t = edge_prob_model(params)  # t does not depend on n
+        if t <= 0:
+            return CriticalResult(axis="n", value=math.inf, feasible=False,
+                                  note="t = 0; threshold never met")
 
-    def ok(P: int) -> bool:
-        return p * edge_prob_overlap(params.K, P, params.d) >= thr
+        def ok(n: int) -> bool:
+            return t >= _threshold(n, m)
 
-    lo = params.K
-    if not ok(lo):
-        return CriticalResult(axis="P", value=-math.inf, feasible=False,
-                              note="even P = K (s = 1) misses the threshold")
-    # exponential search for an upper bound where it fails
-    hi = max(2 * lo, lo + 1)
-    while ok(hi):
-        if hi > 10 ** 12:
-            return CriticalResult(axis="P", value=math.inf, feasible=False,
-                                  note="threshold met beyond the search cap")
-        hi *= 2
-    # ok(lo) True, ok(hi) False
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    assert ok(lo) and not ok(lo + 1)
-    return _int_result("P", params.replace(P=lo), m, lo)
+        # The threshold is not monotone at very small n (it can rise before
+        # the eventual 1/n decay), so scan a small prefix before the search.
+        star = next((v for v in range(3, 1001) if ok(v)), None)
+        if star is None:
+            star = _first_true(ok, 1000, _N_CAP)
+        note = f"no n <= {_N_CAP} meets the threshold"
+    elif axis == "K":
+        def ok(k: int) -> bool:
+            return p * edge_prob_overlap(k, P, d) >= thr
 
+        star = d if ok(d) else _first_true(ok, d, P)
+        note = "even K = P misses the threshold"
+    else:
+        def misses(q: int) -> bool:
+            return p * edge_prob_overlap(K, q, d) < thr
 
-def _int_result(axis: str, params_at: ModelParams, m: int, value: int) -> CriticalResult:
-    alpha = alpha_from_params(params_at, m)
-    return CriticalResult(axis=axis, value=float(value), feasible=True,
-                          alpha_at_value=alpha, boundary_hit=(alpha == 0.0))
+        if misses(K):
+            return CriticalResult(axis="P", value=-math.inf, feasible=False,
+                                  note="even P = K (s = 1) misses the threshold")
+        first_miss = _first_true(misses, K, _P_CAP)
+        star = None if first_miss is None else first_miss - 1
+        note = "threshold met beyond the search cap"
+    if star is None:
+        return CriticalResult(axis=axis, value=math.inf, feasible=False, note=note)
+    return CriticalResult(axis=axis, value=float(star), feasible=True,
+                          alpha_at_value=alpha_from_params(params.replace(**{axis: star}), m))

@@ -286,3 +286,9 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "11/60" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = "import sys, iglab.cli; assert 'scipy.stats' not in sys.modules"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

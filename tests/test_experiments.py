@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from iglab import experiments
@@ -16,7 +17,7 @@ from iglab.experiments import (
     wilson_interval,
 )
 from iglab.generators import gen_model_graph, trial_rng
-from iglab.theory import ModelParams, alpha_from_params, predicted_limit_prob
+from iglab.theory import ModelParams, alpha_from_params, poisson_pmf, predicted_limit_prob
 
 
 def test_wilson_interval_examples():
@@ -145,6 +146,44 @@ def test_degree_law_report_smoke():
     # dense regime: isolated nodes should be rare in both law and data
     iso = report.entries[0]
     assert iso.mean_count <= iso.lam + 5 * math.sqrt(iso.lam + 1) + 1
+
+
+def _pooled_cells(counts, lam):
+    """Reference pooling: cells 0..top against Poisson(lam) plus an upper
+    tail cell, merged left to right until each expects >= 5; a short
+    remainder joins the last full cell."""
+    trials = len(counts)
+    top = int(max(counts.max(), math.ceil(lam) + 1))
+    obs = np.bincount(counts, minlength=top + 2).astype(float)
+    exp = np.array([poisson_pmf(lam, v) for v in range(top + 1)]) * trials
+    exp = np.append(exp, max(0.0, trials - exp.sum()))
+    cells, run = [], [0.0, 0.0]
+    for o, e in zip(obs, exp):
+        run = [run[0] + o, run[1] + e]
+        if run[1] >= 5.0:
+            cells.append(run)
+            run = [0.0, 0.0]
+    if run[1] > 0 and cells:
+        cells[-1] = [cells[-1][0] + run[0], cells[-1][1] + run[1]]
+    return [c[0] for c in cells], [c[1] for c in cells]
+
+
+def test_chi2_against_poisson_matches_scipy_chisquare():
+    from scipy import stats
+
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        lam = float(rng.choice([0.05, 0.5, 2.0, 7.0, 30.0]))
+        drift = float(rng.choice([1.0, 1.3]))  # drawn from the law, and off it
+        counts = rng.poisson(lam * drift, size=int(rng.integers(5, 600)))
+        obs, exp = _pooled_cells(counts, lam)
+        chi2, p = experiments._chi2_against_poisson(counts, lam)
+        if len(exp) < 2:
+            assert (chi2, p) == (0.0, 1.0)
+            continue
+        ref = stats.chisquare(obs, exp)
+        assert chi2 == pytest.approx(float(ref.statistic), rel=1e-12, abs=0)
+        assert p == pytest.approx(float(ref.pvalue), rel=1e-12, abs=0)
 
 
 def test_dominance_report_smoke():

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -249,22 +251,76 @@ def test_critical_g_infeasible_reports_unclamped():
     assert res.value > 1.0
 
 
+def _meets(params, m):
+    """t >= (ln n + m ln ln n)/n, computed the way the solver does."""
+    n = params.n
+    return edge_prob_model(params) >= (math.log(n) + m * math.log(math.log(n))) / n
+
+
+# (n, K, P, d, f, g, m): the doubling search, its first step, both
+# infeasible branches and the K = P = d edge.
+K_CASES = [
+    (1000, 2, 10 ** 4, 2, 1.0, 1.0, 0),
+    (1000, 2, 2000, 2, 0.7, 1.0, 2),
+    (500, 3, 900, 3, 1.0, 0.3, 1),
+    (1000, 1, 10, 1, 1.0, 1.0, 0),        # K* = d
+    (1000, 3, 50, 2, 0.001, 1.0, 0),      # even K = P misses
+    (10, 3, 3, 3, 1.0, 1.0, 0),           # K = P = d meets
+    (10, 3, 3, 3, 0.1, 1.0, 0),           # K = P = d misses
+]
+
+
 def test_critical_K_matches_linear_scan():
+    for n, K, P, d, f, g, m in K_CASES:
+        params = ModelParams(n=n, K=K, P=P, d=d, f=f, g=g)
+        res = solve_critical("K", params, m)
+        scan = next((k for k in range(d, P + 1) if _meets(params.replace(K=k), m)), None)
+        if scan is None:
+            assert (res.feasible, res.value) == (False, math.inf), (params, m)
+        else:
+            assert res.feasible and res.value == scan, (params, m, scan)
     params = ModelParams(n=1000, K=2, P=10 ** 4, d=2, f=1.0, g=1.0)
-    res = solve_critical("K", params, 0)
-    thr = math.log(1000) / 1000
-    scan = next(K for K in range(2, 201)
-                if edge_prob_overlap(K, 10 ** 4, 2) >= thr)
-    assert res.feasible and res.value == scan == 36
+    assert solve_critical("K", params, 0).value == 36
+
+
+P_CASES = [
+    (1000, 36, 100, 2, 1.0, 1.0, 0),
+    (1000, 5, 5, 1, 0.8, 1.0, 2),
+    (10, 3, 3, 3, 1.0, 1.0, 0),           # K = P = d
+    (1000, 4, 4, 2, 0.001, 1.0, 0),       # even P = K misses
+    (10 ** 15, 1, 1, 1, 1.0, 1.0, 0),     # still met at the 10^12 cap
+]
 
 
 def test_critical_P_is_maximal():
-    params = ModelParams(n=1000, K=36, P=100, d=2, f=1.0, g=1.0)
-    res = solve_critical("P", params, 0)
-    thr = math.log(1000) / 1000
-    P_star = int(res.value)
-    assert edge_prob_overlap(36, P_star, 2) >= thr
-    assert edge_prob_overlap(36, P_star + 1, 2) < thr
+    for n, K, P, d, f, g, m in P_CASES:
+        params = ModelParams(n=n, K=K, P=P, d=d, f=f, g=g)
+        res = solve_critical("P", params, m)
+        if not _meets(params.replace(P=K), m):
+            assert (res.feasible, res.value) == (False, -math.inf), (params, m)
+        elif _meets(params.replace(P=10 ** 12), m):
+            assert (res.feasible, res.value) == (False, math.inf), (params, m)
+        else:
+            P_star = int(res.value)
+            assert res.feasible and P_star >= K, (params, m)
+            assert _meets(params.replace(P=P_star), m), (params, m)
+            assert not _meets(params.replace(P=P_star + 1), m), (params, m)
+
+
+def test_critical_K_search_stays_near_the_answer():
+    # The answer is K* = 351 of P = 10^6; a search that probes K near P/2
+    # sums ~5*10^5 big-integer terms per probe and does not finish in time.
+    code = (
+        "from iglab.theory import ModelParams, solve_critical\n"
+        "params = ModelParams(n=1000, K=2, P=10 ** 6, d=2, f=1, g=1)\n"
+        "assert solve_critical('K', params, 0).value == 351\n"
+    )
+    try:
+        done = subprocess.run([sys.executable, "-c", code], timeout=20,
+                              capture_output=True, text=True)
+    except subprocess.TimeoutExpired:
+        pytest.fail("solve_critical('K', P = 10**6) did not finish in 20 s")
+    assert done.returncode == 0, done.stderr
 
 
 def test_critical_m_is_maximal():
@@ -277,15 +333,24 @@ def test_critical_m_is_maximal():
     assert t < (math.log(n) + (m_star + 1) * lnln) / n
 
 
+N_CASES = [
+    (3, 36, 10 ** 4, 2, 1.0, 0.9, 0),
+    (3, 36, 10 ** 4, 2, 1.0, 0.9, 3),
+    (3, 3, 10 ** 6, 2, 1.0, 1.0, 0),      # n* found past the prefix scan
+    (3, 4, 4, 1, 1.0, 1.0, 0),            # t = 1: n* = 3
+    (3, 3, 10, 2, 0.0, 1.0, 0),           # t = 0
+    (3, 1, 10 ** 15, 1, 1.0, 1.0, 0),     # no n <= 10^15 meets
+]
+
+
 def test_critical_n_is_minimal():
-    params = ModelParams(n=3, K=36, P=10 ** 4, d=2, f=1.0, g=0.9)
-    res = solve_critical("n", params, 0)
-    n_star = int(res.value)
-    t = edge_prob_model(params)
-    assert t >= math.log(n_star) / n_star
-    assert all(t < math.log(v) / v for v in range(3, n_star))
-
-
-def test_critical_n_infeasible_when_t_zero():
-    params = ModelParams(n=3, K=3, P=10, d=2, f=0.0, g=1.0)
-    assert not solve_critical("n", params, 0).feasible
+    for n, K, P, d, f, g, m in N_CASES:
+        params = ModelParams(n=n, K=K, P=P, d=d, f=f, g=g)
+        res = solve_critical("n", params, m)
+        if edge_prob_model(params) == 0 or not _meets(params.replace(n=10 ** 15), m):
+            assert (res.feasible, res.value) == (False, math.inf), (params, m)
+            continue
+        n_star = int(res.value)
+        assert res.feasible and _meets(params.replace(n=n_star), m), (params, m)
+        below = range(3, n_star) if n_star <= 1001 else [*range(3, 1001), n_star - 1]
+        assert not any(_meets(params.replace(n=v), m) for v in below), (params, m)
