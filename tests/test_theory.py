@@ -338,7 +338,6 @@ N_CASES = [
     (3, 36, 10 ** 4, 2, 1.0, 0.9, 3),
     (3, 3, 10 ** 6, 2, 1.0, 1.0, 0),      # n* found past the prefix scan
     (3, 4, 4, 1, 1.0, 1.0, 0),            # t = 1: n* = 3
-    (3, 3, 10, 2, 0.0, 1.0, 0),           # t = 0
     (3, 1, 10 ** 15, 1, 1.0, 1.0, 0),     # no n <= 10^15 meets
 ]
 
@@ -354,3 +353,9 @@ def test_critical_n_is_minimal():
         assert res.feasible and _meets(params.replace(n=n_star), m), (params, m)
         below = range(3, n_star) if n_star <= 1001 else [*range(3, 1001), n_star - 1]
         assert not any(_meets(params.replace(n=v), m) for v in below), (params, m)
+
+
+def test_critical_n_infeasible_when_t_zero():
+    params = ModelParams(n=3, K=3, P=10, d=2, f=0.0, g=1.0)
+    res = solve_critical("n", params, 0)
+    assert (res.feasible, res.value) == (False, math.inf)
