@@ -11,7 +11,8 @@ A critical value is where t crosses (ln n + m ln ln n)/n with the other
 parameters fixed. The f, g and m axes have closed forms. The integer axes n,
 K and P share one search: the step from the lower end doubles until the
 monotone predicate flips, then the last gap is bisected, so every probe
-stays within a factor of 2 of the answer.
+stays within a factor of 2 of the answer. K = P (a single overlap term) is
+probed first, so an infeasible K axis is answered at once.
 """
 
 from __future__ import annotations
@@ -250,7 +251,7 @@ def solve_critical(param_name: str, params: ModelParams, m: int) -> CriticalResu
         return _solve_ratio_axis("f", params, m, params.g)
     if param_name == "m":
         return _solve_m(params, m)
-    return _solve_integer(param_name, params, m)
+    return {"n": _critical_n, "K": _critical_K, "P": _critical_P}[param_name](params, m)
 
 
 def _solve_ratio_axis(axis: str, params: ModelParams, m: int, other: float) -> CriticalResult:
@@ -310,43 +311,60 @@ def _first_true(ok, lo: int, cap: int) -> int | None:
     return hi
 
 
-def _solve_integer(axis: str, params: ModelParams, m: int) -> CriticalResult:
-    # Extreme integer with t >= threshold: minimal n* and K*, maximal P*.
-    # s(K, P, d) is nondecreasing in K and nonincreasing in P.
-    p, K, P, d = params.p, params.K, params.P, params.d
-    thr = _threshold(params.n, m)
-    if axis == "n":
-        t = edge_prob_model(params)  # t does not depend on n
-        if t <= 0:
-            return CriticalResult(axis="n", value=math.inf, feasible=False,
-                                  note="t = 0; threshold never met")
-
-        def ok(n: int) -> bool:
-            return t >= _threshold(n, m)
-
-        # The threshold is not monotone at very small n (it can rise before
-        # the eventual 1/n decay), so scan a small prefix before the search.
-        star = next((v for v in range(3, 1001) if ok(v)), None)
-        if star is None:
-            star = _first_true(ok, 1000, _N_CAP)
-        note = f"no n <= {_N_CAP} meets the threshold"
-    elif axis == "K":
-        def ok(k: int) -> bool:
-            return p * edge_prob_overlap(k, P, d) >= thr
-
-        star = d if ok(d) else _first_true(ok, d, P)
-        note = "even K = P misses the threshold"
-    else:
-        def misses(q: int) -> bool:
-            return p * edge_prob_overlap(K, q, d) < thr
-
-        if misses(K):
-            return CriticalResult(axis="P", value=-math.inf, feasible=False,
-                                  note="even P = K (s = 1) misses the threshold")
-        first_miss = _first_true(misses, K, _P_CAP)
-        star = None if first_miss is None else first_miss - 1
-        note = "threshold met beyond the search cap"
+def _int_result(axis: str, params: ModelParams, m: int, star: int | None,
+                note: str) -> CriticalResult:
     if star is None:
         return CriticalResult(axis=axis, value=math.inf, feasible=False, note=note)
     return CriticalResult(axis=axis, value=float(star), feasible=True,
                           alpha_at_value=alpha_from_params(params.replace(**{axis: star}), m))
+
+
+# Extreme integer with t >= threshold: minimal n* and K*, maximal P*.
+# s(K, P, d) is nondecreasing in K and nonincreasing in P.
+
+def _critical_n(params: ModelParams, m: int) -> CriticalResult:
+    t = edge_prob_model(params)  # t does not depend on n
+    if t <= 0:
+        return CriticalResult(axis="n", value=math.inf, feasible=False,
+                              note="t = 0; threshold never met")
+
+    def ok(n: int) -> bool:
+        return t >= _threshold(n, m)
+
+    # The threshold is not monotone at very small n (it can rise before
+    # the eventual 1/n decay), so scan a small prefix before the search.
+    star = next((v for v in range(3, 1001) if ok(v)), None)
+    if star is None:
+        star = _first_true(ok, 1000, _N_CAP)
+    return _int_result("n", params, m, star, f"no n <= {_N_CAP} meets the threshold")
+
+
+def _critical_K(params: ModelParams, m: int) -> CriticalResult:
+    p, P, d = params.p, params.P, params.d
+    thr = _threshold(params.n, m)
+
+    def ok(k: int) -> bool:
+        return p * edge_prob_overlap(k, P, d) >= thr
+
+    # K = P is one overlap term, so probing it first keeps an infeasible
+    # input from walking the doubling steps up to P.
+    if ok(d):
+        star = d
+    else:
+        star = _first_true(ok, d, P) if ok(P) else None
+    return _int_result("K", params, m, star, "even K = P misses the threshold")
+
+
+def _critical_P(params: ModelParams, m: int) -> CriticalResult:
+    p, K, d = params.p, params.K, params.d
+    thr = _threshold(params.n, m)
+
+    def misses(q: int) -> bool:
+        return p * edge_prob_overlap(K, q, d) < thr
+
+    if misses(K):
+        return CriticalResult(axis="P", value=-math.inf, feasible=False,
+                              note="even P = K (s = 1) misses the threshold")
+    first_miss = _first_true(misses, K, _P_CAP)
+    star = None if first_miss is None else first_miss - 1
+    return _int_result("P", params, m, star, "threshold met beyond the search cap")

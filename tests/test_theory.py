@@ -310,10 +310,13 @@ def test_critical_P_is_maximal():
 def test_critical_K_search_stays_near_the_answer():
     # The answer is K* = 351 of P = 10^6; a search that probes K near P/2
     # sums ~5*10^5 big-integer terms per probe and does not finish in time.
+    # At f = 0.001 even K = P misses, which must be seen without walking up.
     code = (
         "from iglab.theory import ModelParams, solve_critical\n"
         "params = ModelParams(n=1000, K=2, P=10 ** 6, d=2, f=1, g=1)\n"
         "assert solve_critical('K', params, 0).value == 351\n"
+        "res = solve_critical('K', params.replace(f=0.001), 0)\n"
+        "assert (res.feasible, res.value) == (False, float('inf'))\n"
     )
     try:
         done = subprocess.run([sys.executable, "-c", code], timeout=20,
