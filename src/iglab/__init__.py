@@ -9,7 +9,6 @@ deterministic Monte-Carlo experiment harness.
 __version__ = "0.1.0"
 
 from .graph import (
-    DegreeHistogram,
     GraphTopology,
     connected_components,
     degree_histogram,

@@ -73,7 +73,8 @@ def _fmt(x) -> str:
 
 def _fmt_rational(frac) -> str:
     num, den = frac.numerator, frac.denominator
-    if len(str(num)) <= _MAX_RATIONAL_DIGITS and len(str(den)) <= _MAX_RATIONAL_DIGITS:
+    # compared as integers: str() of an int past 4300 digits raises ValueError
+    if max(num, den) < 10 ** _MAX_RATIONAL_DIGITS:
         return f"{num}/{den}"
     return "(rational too large to print)"
 

@@ -71,9 +71,8 @@ class HalfCountSummary:
 
 
 def half_count_summary(assign: ObjectAssignment) -> HalfCountSummary:
-    u = np.zeros(assign.pool_size, dtype=np.int64)
-    for ring in assign.rings:
-        u[ring] += 1
+    members = np.concatenate([np.empty(0, np.int64), *assign.rings])
+    u = np.bincount(members.astype(np.int64, copy=False), minlength=assign.pool_size)
     w = u // 2
     return HalfCountSummary(u_counts=u, w_counts=w, y=int(w.sum()))
 
@@ -88,6 +87,12 @@ def _uniform_row_blocks(n: int, P: int, rng: np.random.Generator):
     rows = max(1, (1 << 20) // P)
     for start in range(0, n, rows):
         yield rng.random((min(rows, n - start), P))
+
+
+def _smallest_k(keys: np.ndarray, K: int) -> np.ndarray:
+    """Sorted column indices of the K smallest entries of each row. On iid
+    uniform rows, each row's indices are a uniform K-subset."""
+    return np.sort(np.argpartition(keys, K - 1, axis=1)[:, :K], axis=1)
 
 
 def gen_object_rings_uniform(n: int, K: int, P: int,
@@ -109,9 +114,8 @@ def gen_object_rings_uniform(n: int, K: int, P: int,
             mat[bad] = np.sort(rng.integers(0, P, size=(bad.size, K), dtype=np.int64), axis=1)
         rings = list(mat)
     else:
-        # indices of the K smallest of P iid uniforms == uniform K-subset
         rings = [row for keys in _uniform_row_blocks(n, P, rng)
-                 for row in np.sort(np.argpartition(keys, K - 1, axis=1)[:, :K], axis=1)]
+                 for row in _smallest_k(keys, K)]
     return ObjectAssignment(rings=rings, pool_size=P)
 
 
@@ -275,20 +279,9 @@ def coupling_threshold_x(K: int, P: int, n: int) -> CouplingThreshold:
 @dataclass
 class CoupledPair:
     h: GraphTopology  # binomial-ring overlap graph
-    g: GraphTopology  # uniform-ring overlap graph built on top of h's rings
+    g: GraphTopology  # uniform-ring overlap graph from the same uniforms
     coupling_valid: bool  # every binomial ring fit inside size K
     x: float
-
-
-def _top_up_ring(ring: np.ndarray, K: int, P: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Grow a ring of size <= K to exactly K with uniform missing objects."""
-    have = set(map(int, ring))
-    while len(have) < K:
-        cand = int(rng.integers(0, P))
-        if cand not in have:
-            have.add(cand)
-    return np.array(sorted(have), dtype=np.int64)
 
 
 def gen_coupled_pair(n: int, K: int, P: int, d: int,
@@ -296,23 +289,21 @@ def gen_coupled_pair(n: int, K: int, P: int, d: int,
     """Joint sample of the binomial-ring graph H and a uniform-K-ring graph G
     on one probability space.
 
-    Binomial rings are drawn at the coupling threshold x; each ring of size
-    <= K is topped up to exactly K objects, so H's edges are contained in
-    G's whenever no binomial ring overflowed (coupling_valid). Oversized
-    rings are trimmed to a uniform K-subset and the trial is marked invalid.
+    Both ring sets come from one n x P matrix of iid U[0, 1) draws. H's ring
+    of a node is the objects whose entry is below the coupling threshold x,
+    G's ring is the objects with the K smallest entries. So each H ring is a
+    Bernoulli(x) subset and each G ring a uniform K-subset, and an H ring of
+    at most K objects lies inside its G ring. H's edges are then contained in
+    G's whenever no H ring has more than K objects (coupling_valid).
     """
     thr = coupling_threshold_x(K, P, n)
-    assign_b = gen_object_rings_binomial(n, thr.x, P, rng)
-    h = graph_from_rings(assign_b, d)
-    rings_u = []
-    valid = True
-    for ring in assign_b.rings:
-        if len(ring) <= K:
-            rings_u.append(_top_up_ring(ring, K, P, rng))
-        else:
-            valid = False
-            rings_u.append(np.sort(rng.choice(ring, size=K, replace=False)))
+    rings_b, rings_u = [], []
+    for keys in _uniform_row_blocks(n, P, rng):
+        rings_b.extend(np.nonzero(row)[0] for row in keys < thr.x)
+        rings_u.extend(_smallest_k(keys, K))
+    h = graph_from_rings(ObjectAssignment(rings=rings_b, pool_size=P), d)
     g = graph_from_rings(ObjectAssignment(rings=rings_u, pool_size=P), d)
+    valid = max(map(len, rings_b)) <= K
     return CoupledPair(h=h, g=g, coupling_valid=valid, x=thr.x)
 
 

@@ -109,10 +109,6 @@ def keys_seen_at_least(keys: np.ndarray, d: int) -> np.ndarray:
     return head[keep]
 
 
-class DegreeHistogram(dict):
-    """Map degree value -> number of nodes with that degree."""
-
-
 def intersect_graphs(g1: GraphTopology, g2: GraphTopology) -> GraphTopology:
     """Graph whose edge set is the intersection of the two edge sets."""
     if g1.n != g2.n:
@@ -131,9 +127,10 @@ def min_degree(g: GraphTopology) -> int:
     return int(np.diff(g.indptr).min())
 
 
-def degree_histogram(g: GraphTopology) -> DegreeHistogram:
+def degree_histogram(g: GraphTopology) -> dict[int, int]:
+    """Map degree value -> number of nodes with that degree."""
     counts = np.bincount(np.diff(g.indptr)).tolist()
-    return DegreeHistogram((d, c) for d, c in enumerate(counts) if c)
+    return {d: c for d, c in enumerate(counts) if c}
 
 
 def component_labels(g: GraphTopology) -> tuple[int, np.ndarray]:

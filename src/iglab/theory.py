@@ -85,13 +85,20 @@ def edge_prob_overlap_exact(K: int, P: int, d: int) -> Fraction:
     at least d elements, as a reduced rational.
 
     Hypergeometric tail over the general support max(d, 2K-P) <= u <= K, so
-    P < 2K is also legal (out-of-range terms are zero anyway).
+    P < 2K is also legal (out-of-range terms are zero anyway). When the
+    complement u < d has fewer terms, the tail is C(P, K) minus it, so
+    small d costs d terms however large K is.
     """
     _validate_kpd(K, P, d)
     total = math.comb(P, K)
-    num = 0
-    for u in range(max(d, 2 * K - P), K + 1):
-        num += math.comb(K, u) * math.comb(P - K, K - u)
+    low = max(0, 2 * K - P)
+
+    def mass(us: range) -> int:
+        return sum(math.comb(K, u) * math.comb(P - K, K - u) for u in us)
+
+    tail = range(max(d, low), K + 1)
+    complement = range(low, d)
+    num = mass(tail) if len(tail) <= len(complement) else total - mass(complement)
     return Fraction(num, total)
 
 

@@ -2,10 +2,11 @@ import csv
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from iglab import experiments
+from iglab import cli, experiments
 from iglab.cli import CSV_COLUMNS, main
 from iglab.errors import ContainmentViolationError
 from iglab.generators import CoupledPair
@@ -286,6 +287,13 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "11/60" in proc.stdout
+
+
+def test_rational_past_the_int_string_limit_is_not_printed():
+    # str() of an int with more than 4300 digits raises ValueError
+    huge = Fraction(1, 10 ** 5000)
+    assert cli._fmt_rational(huge) == "(rational too large to print)"
+    assert cli._fmt_rational(Fraction(11, 60)) == "11/60"
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -28,7 +28,7 @@ from iglab.generators import (
     trial_rng,
 )
 from iglab.graph import GraphTopology
-from iglab.theory import ModelParams, edge_prob_model, poisson_pmf
+from iglab.theory import ModelParams, edge_prob_model, edge_prob_overlap, poisson_pmf
 
 
 def assignment(*rings, pool):
@@ -315,6 +315,24 @@ def test_coupled_pair_containment_on_valid_trials():
             assert pair.h.edges <= pair.g.edges
         # uniform-side rings produced a graph on the right node set
         assert pair.g.n == pair.h.n == 200
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_coupled_pair_marginal_edge_laws(d):
+    # Whatever the coupling does, G's rings are uniform K-subsets and H's are
+    # Bernoulli(x) subsets, so a pair is an edge of G with probability
+    # s(K, P, d) and of H with probability P[Bin(P, x^2) >= d].
+    n, K, P, trials = 10, 30, 400, 300
+    x = coupling_threshold_x(K, P, n).x
+    q = x * x
+    expect_g = edge_prob_overlap(K, P, d)
+    expect_h = 1 - sum(math.comb(P, u) * q ** u * (1 - q) ** (P - u) for u in range(d))
+    draws = [gen_coupled_pair(n, K, P, d, trial_rng(63, d, i)) for i in range(trials)]
+    pairs = n * (n - 1) // 2
+    for expect, edges in ((expect_g, [pair.g.edge_count() for pair in draws]),
+                          (expect_h, [pair.h.edge_count() for pair in draws])):
+        sigma_mean = np.std(edges) / math.sqrt(trials)
+        assert abs(np.mean(edges) - pairs * expect) < 4 * sigma_mean
 
 
 def test_coupled_pair_uniform_side_ring_sizes():

@@ -73,6 +73,32 @@ def test_overlap_legal_below_double_ring():
     assert 0 < edge_prob_overlap_exact(5, 7, 4) < 1
 
 
+_HALF_POOL_OVERLAP = (
+    "import math\n"
+    "from fractions import Fraction\n"
+    "from iglab.theory import edge_prob_overlap_exact\n"
+    "K, P = 50_000, 100_000\n"
+    "below = sum(math.comb(K, u) * math.comb(P - K, K - u) for u in range(2))\n"
+    "assert edge_prob_overlap_exact(K, P, 2) == 1 - Fraction(below, math.comb(P, K))\n"
+)
+
+
+@pytest.mark.parametrize("args", [
+    ["-c", _HALF_POOL_OVERLAP],
+    ["-m", "iglab.cli", "edge-prob", "-K", "50000", "-P", "100000", "-d", "2"],
+], ids=["exact", "cli"])
+def test_overlap_at_half_pool_sums_the_short_side(args):
+    # At K = P/2 = 5*10^4 the tail u >= 2 has 49,999 big-integer terms and
+    # its complement u < 2 has two. Run in a child process so a hang fails
+    # the test instead of stalling the suite.
+    try:
+        done = subprocess.run([sys.executable, *args], timeout=20,
+                              capture_output=True, text=True)
+    except subprocess.TimeoutExpired:
+        pytest.fail("s(K = 50000, P = 100000, d = 2) did not finish in 20 s")
+    assert done.returncode == 0, done.stderr
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 10).flatmap(
     lambda P: st.tuples(st.just(P), st.integers(1, P)).flatmap(
