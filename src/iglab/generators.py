@@ -27,10 +27,11 @@ from .theory import ModelParams
 _REJECTION_DENSITY_CUTOFF = 0.1
 
 # Most within-object node pairs, sum over objects of C(U_i, 2), that
-# _pairs_from_rings builds. Its peak memory (ru_maxrss delta at 5e6 and 2e7
-# pairs) is ~27-30 bytes per pair for d >= 2, ~1.8 GB at the budget, and
-# ~42-45 for d = 1, where nearly every pair is an edge; the GraphTopology of
-# such a d = 1 graph then peaks at ~90 bytes per edge. The largest count any
+# _pairs_from_members builds. Its peak memory (ru_maxrss delta at 5e6 and 2e7
+# pairs) is ~17 bytes per pair for d >= 2 when the keys fit int32 and ~25-27
+# when they need int64, ~1.6 GB at the budget; for d = 1, where nearly every
+# pair is an edge, ~21 and ~26-28 (~1.7 GB). The GraphTopology of such a
+# d = 1 graph then peaks at ~89-91 bytes per edge. The largest count any
 # test or benchmark workload reaches is ~5.0e5 (n = 1000, K = 100,
 # P = 10^4), 120 times below; n = 10^5, K = 100, P = 10^4 would need ~5e9.
 _PAIR_KEY_BUDGET = 60_000_000
@@ -95,28 +96,31 @@ def _smallest_k(keys: np.ndarray, K: int) -> np.ndarray:
     return np.sort(np.argpartition(keys, K - 1, axis=1)[:, :K], axis=1)
 
 
-def gen_object_rings_uniform(n: int, K: int, P: int,
-                             rng: np.random.Generator) -> ObjectAssignment:
-    """Independent uniform K-subsets of {0..P-1}, one per node."""
+def _uniform_ring_rows(n: int, K: int, P: int,
+                       rng: np.random.Generator) -> np.ndarray:
+    """(n, K) int64 matrix whose rows are independent uniform K-subsets of
+    {0..P-1}, each sorted ascending."""
     if not (1 <= K <= P):
         raise InvalidParameterError(f"need 1 <= K <= P, got K={K}, P={P}")
     if n < 0:
         raise InvalidParameterError(f"n must be non-negative, got {n}")
-    if n == 0:
-        return ObjectAssignment(rings=[], pool_size=P)
     if K / P <= _REJECTION_DENSITY_CUTOFF and K * (K - 1) <= 2 * P:
-        # iid draws conditioned on all-distinct rows == uniform K-subset
-        mat = np.sort(rng.integers(0, P, size=(n, K), dtype=np.int64), axis=1)
-        while True:
-            bad = np.nonzero((np.diff(mat, axis=1) == 0).any(axis=1))[0] if K > 1 else np.empty(0, int)
-            if bad.size == 0:
-                break
-            mat[bad] = np.sort(rng.integers(0, P, size=(bad.size, K), dtype=np.int64), axis=1)
-        rings = list(mat)
-    else:
-        rings = [row for keys in _uniform_row_blocks(n, P, rng)
-                 for row in _smallest_k(keys, K)]
-    return ObjectAssignment(rings=rings, pool_size=P)
+        # iid draws conditioned on all-distinct rows == uniform K-subset;
+        # only the rows just redrawn can still repeat an object
+        mat = np.empty((n, K), dtype=np.int64)
+        redraw = np.arange(n)
+        while redraw.size:
+            mat[redraw] = np.sort(rng.integers(0, P, size=(redraw.size, K), dtype=np.int64), axis=1)
+            redraw = redraw[(np.diff(mat[redraw], axis=1) == 0).any(axis=1)]
+        return mat
+    return np.concatenate([np.empty((0, K), np.int64),
+                           *(_smallest_k(keys, K) for keys in _uniform_row_blocks(n, P, rng))])
+
+
+def gen_object_rings_uniform(n: int, K: int, P: int,
+                             rng: np.random.Generator) -> ObjectAssignment:
+    """Independent uniform K-subsets of {0..P-1}, one per node."""
+    return ObjectAssignment(rings=list(_uniform_ring_rows(n, K, P, rng)), pool_size=P)
 
 
 def gen_object_rings_binomial(n: int, x: float, P: int,
@@ -133,29 +137,32 @@ def gen_object_rings_binomial(n: int, x: float, P: int,
 
 # -- overlap graph ---------------------------------------------------------
 
-def _pairs_from_rings(assign: ObjectAssignment, d: int) -> np.ndarray:
-    """(E, 2) array of node pairs sharing >= d objects, sorted, i < j.
+def _pairs_from_members(objects: np.ndarray, lens: np.ndarray, P: int,
+                        d: int) -> np.ndarray:
+    """(E, 2) int64 array of node pairs sharing >= d objects, sorted, i < j.
 
-    Inverted-index counting: one sort of the keys obj * n + node groups the
-    ring memberships by object, with node ids ascending inside each object.
-    Every member emits the key lo * n + hi for each later member of its
-    object, and the keys seen at least d times are the edges. Same graph as
-    pairwise set intersection, much cheaper in the sparse regime. Raises
-    InvalidParameterError, before any pair is built, when the pairs number
-    more than _PAIR_KEY_BUDGET.
+    `objects` holds the ring of node 0, then node 1, ..., `lens[v]` objects
+    for node v, all drawn from {0..P-1}. Inverted-index counting: one sort
+    of the keys obj * n + node groups the ring memberships by object, with
+    node ids ascending inside each object. Every member emits the key
+    lo * n + hi for each later member of its object, and the keys seen at
+    least d times are the edges. Same graph as pairwise set intersection,
+    much cheaper in the sparse regime. Raises InvalidParameterError, before
+    any pair is built, when the pairs number more than _PAIR_KEY_BUDGET.
     """
-    n = assign.node_count
-    lens = np.fromiter((len(r) for r in assign.rings), dtype=np.int64, count=n)
-    if lens.sum() == 0 or n < 2:
+    n = lens.size
+    if objects.size == 0 or n < 2:
         return np.empty((0, 2), dtype=np.int64)
-    obj_ids = np.concatenate(assign.rings).astype(np.int64, copy=False)
-    counts = np.bincount(obj_ids, minlength=assign.pool_size)
+    counts = np.bincount(objects, minlength=P)
     pair_keys = int((counts * (counts - 1) // 2).sum())
     if pair_keys > _PAIR_KEY_BUDGET:
         raise InvalidParameterError(
             f"the rings give {pair_keys} within-object node pairs, above the "
             f"budget of {_PAIR_KEY_BUDGET}; lower n or K, or raise P")
-    members = np.sort(obj_ids * n + np.repeat(np.arange(n, dtype=np.int64), lens)) % n
+    # every key is below n * max(n, P); int32 halves the bytes each sort moves
+    key = np.int32 if n * max(n, P) <= 1 << 31 else np.int64
+    members = np.sort(objects.astype(key, copy=False) * n
+                      + np.repeat(np.arange(n, dtype=key), lens)) % n
     # position p pairs with the `later` members after it in its object's run
     position = np.arange(members.size)
     later = np.repeat(np.cumsum(counts), counts) - position - 1
@@ -166,7 +173,16 @@ def _pairs_from_rings(assign: ObjectAssignment, d: int) -> np.ndarray:
     del right
     keep = keys_seen_at_least(keys, d)
     del keys
-    return np.stack((keep // n, keep % n), axis=1)
+    pairs = np.empty((keep.size, 2), dtype=np.int64)
+    np.divmod(keep, n, out=(pairs[:, 0], pairs[:, 1]))
+    return pairs
+
+
+def _pairs_from_rings(assign: ObjectAssignment, d: int) -> np.ndarray:
+    """_pairs_from_members over the rings of an assignment."""
+    lens = np.fromiter(map(len, assign.rings), dtype=np.int64, count=assign.node_count)
+    objects = np.concatenate([np.empty(0, np.int64), *assign.rings])
+    return _pairs_from_members(objects, lens, assign.pool_size, d)
 
 
 def graph_from_rings(assign: ObjectAssignment, d: int) -> GraphTopology:
@@ -223,17 +239,22 @@ def gen_model_graph(params: ModelParams, rng: np.random.Generator,
     at other pairs). explicit_layers=True restores the literal two-layer
     construction G_d cap G(n,f) cap G(n,g) for differential testing.
     """
-    assign = gen_object_rings_uniform(params.n, params.K, params.P, rng)
+    n, K, P = params.n, params.K, params.P
+    expected = P * math.comb(n, 2) * (K / P) ** 2  # E[sum over objects of C(U_i, 2)]
+    if expected > _PAIR_KEY_BUDGET:
+        raise InvalidParameterError(
+            f"rings of K={K} of P={P} objects on n={n} nodes give about "
+            f"{expected:.3g} within-object node pairs, above the budget of "
+            f"{_PAIR_KEY_BUDGET}; lower n or K, or raise P")
+    rings = _uniform_ring_rows(n, K, P, rng)
+    pairs = _pairs_from_members(rings.ravel(), np.full(n, K), P, params.d)
     if explicit_layers:
-        gd = graph_from_rings(assign, params.d)
-        layer_f = gen_er(params.n, params.f, rng)
-        layer_g = gen_er(params.n, params.g, rng)
-        return intersect_graphs(intersect_graphs(gd, layer_f), layer_g)
-    pairs = _pairs_from_rings(assign, params.d)
-    p = params.p
-    if p < 1.0:
-        pairs = pairs[rng.random(len(pairs)) < p]
-    return GraphTopology(params.n, pairs)
+        layer_f = gen_er(n, params.f, rng)
+        layer_g = gen_er(n, params.g, rng)
+        return intersect_graphs(intersect_graphs(GraphTopology(n, pairs), layer_f), layer_g)
+    if params.p < 1.0:
+        pairs = pairs[rng.random(len(pairs)) < params.p]
+    return GraphTopology(n, pairs)
 
 
 # -- multiset edge graphs ----------------------------------------------------

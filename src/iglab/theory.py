@@ -87,14 +87,23 @@ def edge_prob_overlap_exact(K: int, P: int, d: int) -> Fraction:
     Hypergeometric tail over the general support max(d, 2K-P) <= u <= K, so
     P < 2K is also legal (out-of-range terms are zero anyway). When the
     complement u < d has fewer terms, the tail is C(P, K) minus it, so
-    small d costs d terms however large K is.
+    small d costs d terms however large K is. Each term C(K, u) C(P-K, K-u)
+    is the one before times (K - u)^2 / ((u + 1)(P - 2K + u + 1)); the
+    division is exact, and its divisor is >= 1 on the support.
     """
     _validate_kpd(K, P, d)
     total = math.comb(P, K)
     low = max(0, 2 * K - P)
 
     def mass(us: range) -> int:
-        return sum(math.comb(K, u) * math.comb(P - K, K - u) for u in us)
+        if not us:
+            return 0
+        term = math.comb(K, us.start) * math.comb(P - K, K - us.start)
+        acc = term
+        for u in us[:-1]:
+            term = term * (K - u) ** 2 // ((u + 1) * (P - 2 * K + u + 1))
+            acc += term
+        return acc
 
     tail = range(max(d, low), K + 1)
     complement = range(low, d)

@@ -14,6 +14,7 @@ from iglab.errors import (
 from iglab.generators import (
     ObjectAssignment,
     _decode_pair_index,
+    _pairs_from_rings,
     coupling_threshold_x,
     gen_coupled_pair,
     gen_er,
@@ -109,22 +110,50 @@ def test_overlap_pair_budget_fails_fast(tmp_path):
     assert "within-object node pairs" in done.stderr
 
 
-@pytest.mark.parametrize("command", [["simulate", "--workers", "1", "--out", "{tmp}/run.csv"],
-                                     ["verify", "coupling"]], ids=["uniform", "binomial"])
-def test_dense_ring_draws_fit_before_pair_budget(tmp_path, command):
-    # K = 500 of P = 10^4 takes the dense uniform branch, and verify coupling
-    # draws binomial rings: both look at n x P = 2e8 uniforms (1.5 GiB as one
-    # float64 matrix). Drawn in row blocks, the rings fit under the child's
-    # 1.5 GiB address-space cap, and the pair budget stops the run with exit 2.
+def test_oversized_model_refused_before_ring_draw(tmp_path):
+    # n = 10^5, K = 500, P = 10^4 expects P * C(n, 2) * (K/P)^2 ~ 1.25e11
+    # within-object node pairs. Its dense rings alone look at 10^9 uniforms
+    # (~17 s), so the run must refuse before drawing any ring.
     code = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))\n"
         "from iglab.cli import main\n"
-        "sys.exit(main(sys.argv[1:]))\n"
+        "sys.exit(main(['simulate', '-n', '100000', '-K', '500', '-P', '10000',\n"
+        "               '-d', '2', '--trials', '1', '--workers', '1',\n"
+        "               '--out', sys.argv[1]]))\n"
     )
-    args = [a.format(tmp=tmp_path) for a in command]
-    args += ["-n", "20000", "-K", "500", "-P", "10000", "-d", "2", "--trials", "1"]
-    done = subprocess.run([sys.executable, "-c", code, *args],
+    try:
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "run.csv")],
+                              timeout=10, capture_output=True, text=True)
+    except subprocess.TimeoutExpired:
+        pytest.fail("simulate -n 100000 -K 500 -P 10000 was not refused within 10 s")
+    assert done.returncode == 2, done.stderr
+    assert "within-object node pairs" in done.stderr
+
+
+@pytest.mark.parametrize("call", [
+    "graph_from_rings(gen_object_rings_uniform(20000, 500, 10000, trial_rng(0, 0)), 2)",
+    "main(['verify', 'coupling', '-n', '20000', '-K', '500', '-P', '10000', '-d', '2',"
+    " '--trials', '1'])",
+], ids=["uniform", "binomial"])
+def test_dense_ring_draws_fit_before_pair_budget(call):
+    # K = 500 of P = 10^4 takes the dense uniform branch, and verify coupling
+    # draws binomial rings: both look at n x P = 2e8 uniforms (1.5 GiB as one
+    # float64 matrix). Drawn in row blocks, the rings fit under the child's
+    # 1.5 GiB address-space cap, and the pair budget refuses them (exit 2).
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))\n"
+        "from iglab.cli import main\n"
+        "from iglab.errors import InvalidParameterError\n"
+        "from iglab.generators import gen_object_rings_uniform, graph_from_rings, trial_rng\n"
+        "try:\n"
+        f"    sys.exit({call})\n"
+        "except InvalidParameterError as exc:\n"
+        "    print(exc, file=sys.stderr)\n"
+        "    sys.exit(2)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code],
                           timeout=120, capture_output=True, text=True)
     assert done.returncode == 2, done.stderr
     assert "within-object node pairs" in done.stderr
@@ -161,6 +190,60 @@ def test_graph_from_rings_matches_pairwise_intersection():
         expect = {(i, j) for i in range(30) for j in range(i + 1, 30)
                   if len(sets[i] & sets[j]) >= d}
         assert g.edges == expect
+
+
+def _pairwise_overlap_pairs(rings, d):
+    """Reference edge list: the pairs (i, j), i < j, whose rings share at
+    least d objects, read off the matrix of pairwise intersection sizes."""
+    used, cols = np.unique(np.concatenate(rings), return_inverse=True)
+    member = np.zeros((len(rings), used.size))
+    member[np.repeat(np.arange(len(rings)), [len(r) for r in rings]), cols] = 1
+    i, j = np.nonzero(np.triu(member @ member.T >= d, 1))
+    return np.stack((i, j), axis=1)
+
+
+@pytest.mark.parametrize("n, P", [(2200, 10 ** 6), (2048, 2 ** 20)],
+                         ids=["past-int32", "at-int32-bound"])
+def test_overlap_pairs_match_pairwise_intersection_in_both_key_widths(n, P):
+    # The keys obj * n + node and lo * n + hi stay below n * max(n, P): past
+    # 2^31 they need int64, at 2^31 int32 still holds them. The rings use
+    # the top 60 objects, so overlaps of 1, 2 and 3 are all common, and the
+    # last node holds object P - 1, which makes the largest key n * P - 1.
+    rng = trial_rng(13, n)
+    rings = [np.sort(rng.choice(60, 3, replace=False)) + P - 60 for _ in range(n - 1)]
+    rings.append(np.array([P - 3, P - 2, P - 1]))
+    assign = ObjectAssignment(rings=rings, pool_size=P)
+    for d in (1, 2, 3):
+        expect = _pairwise_overlap_pairs(rings, d)
+        assert len(expect) > 0
+        assert np.array_equal(_pairs_from_rings(assign, d), expect)
+
+
+def _reference_model_graph(params, rng):
+    """gen_model_graph rebuilt from its definition on the same draws: one
+    sorted ring per node (rejection over the whole matrix, or the K smallest
+    of P uniforms per row), pairwise intersections, then friendship and link
+    thinning of the sorted pairs."""
+    n, K, P = params.n, params.K, params.P
+    if K / P <= 0.1 and K * (K - 1) <= 2 * P:
+        mat = np.sort(rng.integers(0, P, size=(n, K), dtype=np.int64), axis=1)
+        while (bad := np.nonzero((np.diff(mat, axis=1) == 0).any(axis=1))[0]).size:
+            mat[bad] = np.sort(rng.integers(0, P, size=(bad.size, K), dtype=np.int64), axis=1)
+    else:
+        mat = np.argsort(rng.random((n, P)), axis=1)[:, :K]
+    pairs = _pairwise_overlap_pairs(list(np.sort(mat, axis=1)), params.d)
+    return GraphTopology(n, pairs[rng.random(len(pairs)) < params.p])
+
+
+@pytest.mark.parametrize("n, K, P", [(300, 10, 100), (300, 12, 100), (500, 120, 5000)],
+                         ids=["rejection", "dense", "dense-blocks"])
+def test_gen_model_graph_matches_reference_on_fixed_seeds(n, K, P):
+    for d in (1, 2, 3):
+        params = ModelParams(n=n, K=K, P=P, d=d, f=0.9, g=0.7)
+        for i in range(2):
+            g = gen_model_graph(params, trial_rng(34, d, i))
+            assert g.edge_count() > 0
+            assert g == _reference_model_graph(params, trial_rng(34, d, i))
 
 
 def test_graph_from_rings_object_label_invariance():

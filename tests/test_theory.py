@@ -99,6 +99,37 @@ def test_overlap_at_half_pool_sums_the_short_side(args):
     assert done.returncode == 0, done.stderr
 
 
+def test_overlap_matches_comb_sum_for_small_pools():
+    for P in range(1, 30):
+        for K in range(1, P + 1):
+            for d in range(1, K + 1):
+                tail = sum(math.comb(K, u) * math.comb(P - K, K - u) for u in range(d, K + 1))
+                assert edge_prob_overlap_exact(K, P, d) == Fraction(tail, math.comb(P, K))
+
+
+_BOTH_SIDES_LONG = (
+    "import math\n"
+    "from fractions import Fraction\n"
+    "from iglab.theory import edge_prob_overlap_exact\n"
+    "K, P, d = 50_000, 100_000, 25_000\n"
+    "# at K = P/2 the overlap u and K - u have one law, so\n"
+    "# P[U >= K/2] = (1 + P[U = K/2]) / 2\n"
+    "middle = Fraction(math.comb(K, d) ** 2, math.comb(P, K))\n"
+    "assert edge_prob_overlap_exact(K, P, d) == (1 + middle) / 2\n"
+)
+
+
+def test_overlap_with_both_sides_long_finishes():
+    # Both sides of u = 25,000 have 25,000 big-integer terms. Run in a child
+    # process so a slow sum fails the test instead of stalling the suite.
+    try:
+        done = subprocess.run([sys.executable, "-c", _BOTH_SIDES_LONG], timeout=20,
+                              capture_output=True, text=True)
+    except subprocess.TimeoutExpired:
+        pytest.fail("s(K = 50000, P = 100000, d = 25000) did not finish in 20 s")
+    assert done.returncode == 0, done.stderr
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 10).flatmap(
     lambda P: st.tuples(st.just(P), st.integers(1, P)).flatmap(
