@@ -4,8 +4,8 @@ A graph survives any m node failures iff it is (m+1)-connected, so the
 universal quantifier over failure sets is decided exactly via vertex
 connectivity (Menger) rather than by sampling. Fast paths: k=1 by
 traversal, k=2 by articulation-point search; k >= 3 by Even's test on a
-maximum-adjacency order, with Dinic max flows on a node-split network built
-once per graph as CSR.
+maximum-adjacency order, whose checks run early-exit augmenting-path
+searches over the graph's own CSR adjacency, node-split only implicitly.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import maximum_flow
 
 from .errors import InvalidParameterError, OracleRefusedError
 from .graph import GraphTopology, component_labels, min_degree
@@ -104,23 +102,9 @@ def _has_articulation_point(g: GraphTopology) -> bool:
 
 # -- k >= 3: Even's test on a maximum-adjacency order ------------------------
 
-def _even_k_connected(g: GraphTopology, k: int) -> bool:
-    """Even's test (SIAM J. Comput. 4:393, 1975); needs n > k.
-
-    For an order v_1..v_n, the graph is k-connected iff each non-adjacent
-    pair among v_1..v_k has k internally disjoint paths, and each later v_j
-    has k such paths from a source joined to v_1..v_{j-1}. k earlier
-    neighbours are k paths of length one, and a maximum-adjacency order
-    (from node 0, take the node with the most visited neighbours, lowest id
-    on ties) gives most nodes k of them, so few flows run.
-
-    Node-split CSR network, built once: u_in=2u -> u_out=2u+1 with unit
-    capacity, unit arcs u_out->v_in and v_out->u_in per edge, and arcs from a
-    super-source S=2n to every u_in and u_out, of capacity 0 until a check
-    sets them: S->a_out to k for a pair check, S->u_in to 1 per earlier u for
-    the set check (so u's own unit arc still binds). Dinic runs from S to the
-    target's u_in.
-    """
+def _max_adjacency_order(g: GraphTopology) -> tuple[list[int], list[int]]:
+    """From node 0, repeatedly take the unvisited node with the most visited
+    neighbours (lowest id on ties); return the order and each node's count."""
     n = g.n
     visited_nbrs = np.zeros(n, dtype=np.int64)
     order, earlier = [], []
@@ -130,37 +114,96 @@ def _even_k_connected(g: GraphTopology, k: int) -> bool:
         earlier.append(int(visited_nbrs[v]))
         visited_nbrs[g.indices[g.indptr[v]:g.indptr[v + 1]]] += 1
         visited_nbrs[v] = -n  # below any unvisited count for good
-    ends = g.pairs.astype(np.int32)
-    split = np.arange(2 * n, dtype=np.int32)
-    tails = np.concatenate([split[::2], 2 * ends[:, 0] + 1, 2 * ends[:, 1] + 1,
-                            np.full(2 * n, 2 * n, dtype=np.int32)])
-    heads = np.concatenate([split[1::2], 2 * ends[:, 1], 2 * ends[:, 0], split])
-    caps = np.ones(tails.size, dtype=np.int32)
-    caps[-2 * n:] = 0
-    row_order = np.lexsort((heads, tails))
-    indptr = np.zeros(2 * n + 2, dtype=np.int32)
-    np.cumsum(np.bincount(tails, minlength=2 * n + 1), out=indptr[1:])
-    net = csr_array((caps[row_order], heads[row_order], indptr), shape=(2 * n + 1,) * 2)
-    source_arcs = net.data[-2 * n:]  # S's row, sorted by head: S->h at h
-    for a, b in combinations(order[:k], 2):
-        if not g.has_edge(a, b):
-            source_arcs[2 * a + 1] = k
-            if maximum_flow(net, 2 * n, 2 * b, method="dinic").flow_value < k:
-                return False
-            source_arcs[2 * a + 1] = 0
-    source_arcs[[2 * u for u in order[:k]]] = 1
-    for v, count in zip(order[k:], earlier[k:]):
-        if count < k and maximum_flow(net, 2 * n, 2 * v, method="dinic").flow_value < k:
+    return order, earlier
+
+
+def _has_k_paths(adj: list[list[int]], k: int, t: int, source: set[int]) -> bool:
+    """True iff k paths from distinct nodes of `source` reach t, sharing
+    no node but t.
+
+    Up to k breadth-first searches run backwards from t_in over the residual
+    graph of the node-split network, which is never built: state 2u is u_in,
+    2u + 1 is u_out, u_in -> u_out has unit capacity, and each edge {u, w}
+    gives unit arcs u_out -> w_in and w_out -> u_in. nxt[u] = w is one unit of
+    flow on u_out -> w_in, so u carries a path iff u is in nxt. A search stops
+    at the first u_in it reaches with u in source, and pushes one unit back
+    along the path it found. The super-source still feeds that u_in: once a
+    source starts a path, no residual arc leaves its u_in, so none reaches it.
+    """
+    nxt: dict[int, int] = {}
+    for _ in range(k):
+        par = {2 * t: -1}
+        queue = [2 * t]
+        found = -1
+        for x in queue:
+            u = x >> 1
+            if x & 1:  # u_out is entered from u_in, or from the flow's w_in
+                y = 2 * nxt.get(u, u)
+                if y not in par:
+                    par[y] = x
+                    if y >> 1 in source:
+                        found = y
+                        break
+                    queue.append(y)
+                continue
+            if u in nxt and x + 1 not in par:  # back over u's used unit arc
+                par[x + 1] = x
+                queue.append(x + 1)
+            for w in adj[u]:
+                y = 2 * w + 1
+                if y not in par and nxt.get(w) != u:
+                    par[y] = x
+                    queue.append(y)
+        if found < 0:
             return False
-        source_arcs[2 * v] = 1
+        x = found
+        while x != 2 * t:
+            y = par[x]
+            if x >> 1 != y >> 1:
+                if x & 1:
+                    nxt[x >> 1] = y >> 1
+                else:  # w_in -> u_out cancels u_out -> w_in
+                    del nxt[y >> 1]
+            x = y
+    return True
+
+
+def _even_k_connected(g: GraphTopology, k: int, order: list[int],
+                      earlier: list[int]) -> bool:
+    """Even's test (SIAM J. Comput. 4:393, 1975); needs n > k.
+
+    For an order v_1..v_n, the graph is k-connected iff each non-adjacent
+    pair among v_1..v_k has k internally disjoint paths, and each later v_j
+    has k paths from distinct v_1..v_{j-1}, disjoint but for v_j. k earlier
+    neighbours are k paths of length one, and a maximum-adjacency order gives
+    most nodes k of them, so few searches run. Non-adjacent a and b have k
+    internally disjoint paths iff k paths from distinct neighbours of a reach
+    b; G - a is not needed, since a path through a can start after it.
+    """
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
+    adj = [indices[indptr[u]:indptr[u + 1]] for u in range(g.n)]
+    for a, b in combinations(order[:k], 2):
+        near_a = set(adj[a])
+        if b not in near_a and not _has_k_paths(adj, k, b, near_a):
+            return False
+    source = set(order[:k])
+    for v, count in zip(order[k:], earlier[k:]):
+        if count < k and not _has_k_paths(adj, k, v, source):
+            return False
+        source.add(v)
     return True
 
 
 def vertex_connectivity(g: GraphTopology) -> int:
     """Exact vertex connectivity kappa; 0 for disconnected or single-node."""
     kappa = 0
-    while is_k_connected(g, kappa + 1):
+    while kappa < 2 and is_k_connected(g, kappa + 1):
         kappa += 1
+    if kappa == 2:  # one order serves every k
+        order, earlier = _max_adjacency_order(g)
+        while (g.n > kappa + 1 and min_degree(g) > kappa
+               and _even_k_connected(g, kappa + 1, order, earlier)):
+            kappa += 1
     return kappa
 
 
@@ -180,7 +223,7 @@ def is_k_connected(g: GraphTopology, k: int) -> bool:
         return False
     if k == 2:
         return not _has_articulation_point(g)
-    return _even_k_connected(g, k)
+    return _even_k_connected(g, k, *_max_adjacency_order(g))
 
 
 def survives_node_failures(g: GraphTopology, m: int) -> bool:

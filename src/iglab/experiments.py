@@ -44,7 +44,7 @@ DOMINANCE_SLACK = 0.02  # finite-n stand-in for the 1-o(1/ln n) factor
 def resolve_workers(workers: int | None, trials: int) -> int:
     """Worker processes used for `trials` trials: `workers` if given, else
     RG_LAB_THREADS if set, else the CPU count, and never more than one per
-    trial. A given count or RG_LAB_THREADS must be an integer >= 1."""
+    trial or per CPU. A given count or RG_LAB_THREADS must be an integer >= 1."""
     if workers is None:
         env = os.environ.get(WORKERS_ENV_VAR)
         try:
@@ -56,7 +56,7 @@ def resolve_workers(workers: int | None, trials: int) -> int:
                 f"{WORKERS_ENV_VAR} must be an integer >= 1, got {env!r}")
     elif workers < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
-    return min(workers, trials)
+    return min(workers, trials, os.cpu_count() or 1)
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:

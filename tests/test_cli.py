@@ -149,6 +149,7 @@ def test_workers_below_one_is_a_validation_error(tmp_path, capsys, command, work
 def test_manifest_records_workers_used(tmp_path, capsys, monkeypatch):
     # three from the environment, capped at one worker per trial
     monkeypatch.setenv("RG_LAB_THREADS", "3")
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)  # not by this host's CPUs
     out = tmp_path / "run.csv"
     assert run_cli(*SMALL_RUNS["simulate"], "--out", out) == 0
     manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())

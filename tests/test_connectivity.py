@@ -4,6 +4,7 @@ from itertools import combinations, islice
 import numpy as np
 import pytest
 
+from iglab import connectivity
 from iglab.connectivity import (
     assess_resilience,
     brute_force_k_connected,
@@ -185,6 +186,21 @@ def test_min_degree_at_least():
                 assert min_degree_at_least(g, k)
 
 
+def test_vertex_connectivity_orders_the_nodes_once(monkeypatch):
+    calls = []
+    order = connectivity._max_adjacency_order
+
+    def counted(g):
+        calls.append(g.n)
+        return order(g)
+
+    monkeypatch.setattr(connectivity, "_max_adjacency_order", counted)
+    square_of_cycle = GraphTopology(12, [(i, (i + s) % 12) for i in range(12) for s in (1, 2)])
+    assert vertex_connectivity(square_of_cycle) == 4
+    assert vertex_connectivity(complete(7)) == 6
+    assert calls == [12, 7]
+
+
 def test_assess_resilience():
     v = assess_resilience(cycle(5), 2)
     assert v.connected and v.min_degree == 2 and v.k_connected_up_to == 2
@@ -206,7 +222,7 @@ def _assert_matches_networkx(g):
     kappa = _networkx_kappa(g)
     label = f"n={g.n}, edges={len(g.edges)}, networkx kappa={kappa}"
     assert vertex_connectivity(g) == kappa, label
-    for k in (3, 4):
+    for k in (3, 4, 5):
         assert is_k_connected(g, k) == (kappa >= k), f"k={k}, {label}"
     return kappa
 
@@ -230,7 +246,7 @@ def test_connectivity_matches_networkx_on_model_and_er_graphs():
     assert min(kappas) < 3 and max(kappas) >= 4
 
 
-@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("k", [3, 4, 5])
 def test_connectivity_matches_networkx_on_glued_graphs(k):
     params = ModelParams(n=40, K=8, P=60, d=2, f=1.0, g=1.0)
     draws = (gen_model_graph(params, trial_rng(2026, k, j)) for j in range(60))
@@ -255,6 +271,16 @@ def test_even_regression_graph_with_min_degree_three_and_kappa_two():
     assert vertex_connectivity(g) == 2
 
 
+def test_path_search_reroutes_earlier_paths():
+    # the first search takes 0-2-3-4, but 1 reaches 4 only through 3: the
+    # second must move 0 to 0-5-6-4, backing out over 3, 2 and 2's unit arc
+    g = GraphTopology(9, [(0, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 4),
+                          (1, 7), (7, 8), (8, 3)])
+    adj = [sorted(g.neighbors(u)) for u in range(g.n)]
+    assert connectivity._has_k_paths(adj, 2, 4, {0, 1})
+    assert not connectivity._has_k_paths(adj, 2, 4, {7, 8})  # both need 3
+
+
 def _separated_parts(k, seed):
     """Two random (k+2)-regular parts of 12 nodes joined only through k - 1
     separator nodes, each with 3 neighbours on either side; one far-side node
@@ -273,7 +299,7 @@ def _separated_parts(k, seed):
     return GraphTopology(23 + k, [(label[x], label[y]) for x, y in edges])
 
 
-@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("k", [3, 4, 5])
 def test_separator_family_matches_networkx(k):
     for seed in range(12):
         g = _separated_parts(k, seed)

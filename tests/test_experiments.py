@@ -64,7 +64,21 @@ def test_worker_count_does_not_change_results():
     assert serial.to_dict()["empirical_prob"] == parallel.to_dict()["empirical_prob"]
 
 
+def test_worker_count_is_capped_at_cpus_and_trials(monkeypatch):
+    # a huge count would fork that many processes at the first map
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+    assert experiments.resolve_workers(10 ** 6, 10 ** 6) == 3
+    assert experiments.resolve_workers(8, 2) == 2
+    monkeypatch.setenv("RG_LAB_THREADS", str(10 ** 6))
+    assert experiments.resolve_workers(None, 10 ** 6) == 3
+    monkeypatch.delenv("RG_LAB_THREADS")
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    assert experiments.resolve_workers(None, 10) == 1
+    assert experiments.resolve_workers(4, 10) == 1
+
+
 def test_sweep_points_share_one_pool(monkeypatch):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)  # a pool even on one CPU
     pools = []
 
     class CountingPool(experiments.ProcessPoolExecutor):
