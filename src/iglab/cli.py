@@ -10,10 +10,15 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import platform
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 from . import __version__
 from .errors import (
@@ -230,6 +235,15 @@ def _write_outputs(csv_text: str, rows: list[ExperimentResult],
             "workers": workers,
         },
         "base_seed": cfg.base_seed,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+            # not platform.platform(): it runs `uname -p` in a subprocess
+            "platform": "-".join((platform.system(), platform.release(),
+                                  platform.machine())),
+        },
         "started_at": started,
         "finished_at": datetime.now(timezone.utc).isoformat(),
         "outputs": {out_path.name: f"sha256:{digest}"},

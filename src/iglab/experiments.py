@@ -1,9 +1,13 @@
 """Monte-Carlo estimation harness and statistical verification tests.
 
-Every loop over trials maps a per-trial function through _trial_map, with
-one process pool per run. Trial i draws from trial_rng(base_seed, *path, i),
-so results are bit-identical for any worker count; aggregation is pure
-counting of the per-trial records.
+Every loop over trials maps a per-trial function through _trial_map. The
+parent process runs trials itself and starts worker processes only once the
+mean trial time so far, times the trials left, says they would save more
+than their start-up cost; then it works as one of them, and the pool lasts
+for the rest of the run. Trial i draws from trial_rng(base_seed, *path, i)
+and records come back in index order, so results are bit-identical for any
+worker count and any schedule; aggregation is pure counting of the
+per-trial records.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -40,11 +44,21 @@ _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 DOMINANCE_SLACK = 0.02  # finite-n stand-in for the 1-o(1/ln n) factor
 
+# Wall time, in seconds, that starting the worker processes adds to a run:
+# the break-even _trial_map weighs a pool's saving against. Measured on 2
+# CPUs (Python 3.11, numpy 2.4, scipy 1.17): a `simulate` CLI call of four
+# near-free trials at --workers 2 took a median 25 ms with a pool of one
+# worker forced and 9 ms serial (40 alternated pairs). Alone, with numpy and
+# scipy loaded, ProcessPoolExecutor start + one map + shutdown took 7 ms for
+# one worker and 13.5 ms for two, and a bare fork + waitpid 4 ms.
+_POOL_START_S = 0.016
+
 
 def resolve_workers(workers: int | None, trials: int) -> int:
-    """Worker processes used for `trials` trials: `workers` if given, else
-    RG_LAB_THREADS if set, else the CPU count, and never more than one per
-    trial or per CPU. A given count or RG_LAB_THREADS must be an integer >= 1."""
+    """Most processes, the parent included, that a run of `trials` trials
+    may use: `workers` if given, else RG_LAB_THREADS if set, else the CPU
+    count, and never more than one per trial or per CPU. A given count or
+    RG_LAB_THREADS must be an integer >= 1."""
     if workers is None:
         env = os.environ.get(WORKERS_ENV_VAR)
         try:
@@ -129,20 +143,51 @@ class ExperimentResult:
         }
 
 
+def _trial_chunk(trial, indices: range) -> list:
+    return [trial(i) for i in indices]
+
+
 @contextmanager
 def _trial_map(workers: int | None, trials: int):
-    """Yield map_trials(trial) -> [trial(0), ..., trial(trials - 1)]. All
-    calls in the run share one process pool, which takes contiguous chunks of
-    trials, one per worker (in-process for one worker). `trial` derives its
-    streams from the index and must pickle: a module-level function or a
-    functools.partial of one."""
+    """Yield map_trials(trial) -> [trial(0), ..., trial(trials - 1)].
+
+    The parent runs trials itself, in index order, until the mean trial time
+    times the trials left says that w processes would save more than
+    _POOL_START_S: mean * left * (w - 1) / w > _POOL_START_S, checked after
+    every trial. It then starts one pool of w - 1 worker processes, which
+    later calls in the run share. With a pool, the trials left are split into
+    w contiguous chunks: the workers take chunks 2..w and the parent runs
+    chunk 1. The pool is shut down when the run ends, also when a trial
+    raises. `trial` derives its streams from the index and must pickle: a
+    module-level function or a functools.partial of one."""
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
     workers = resolve_workers(workers, trials)
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else nullcontext()) as pool:
-        mapper = partial(pool.map, chunksize=-(-trials // workers)) if pool else map
-        yield lambda trial: list(mapper(trial, range(trials)))
+    pool = None
+
+    def map_trials(trial) -> list:
+        nonlocal pool
+        records, started = [], time.perf_counter()
+        while pool is None and len(records) < trials:
+            records.append(trial(len(records)))
+            done = len(records)
+            mean = (time.perf_counter() - started) / done
+            if mean * (trials - done) * (workers - 1) / workers > _POOL_START_S:
+                pool = ProcessPoolExecutor(max_workers=workers - 1)
+        first, left = len(records), trials - len(records)
+        bounds = [first + -(-left * j // workers) for j in range(workers + 1)]
+        chunks = [pool.submit(_trial_chunk, trial, range(lo, hi))
+                  for lo, hi in zip(bounds[1:-1], bounds[2:]) if lo < hi]
+        records += _trial_chunk(trial, range(bounds[0], bounds[1]))
+        for chunk in chunks:
+            records += chunk.result()
+        return records
+
+    try:
+        yield map_trials
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def _resilience_trial(params: ModelParams, m: int, base_seed: int,

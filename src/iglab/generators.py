@@ -27,13 +27,15 @@ from .theory import ModelParams
 _REJECTION_DENSITY_CUTOFF = 0.1
 
 # Most within-object node pairs, sum over objects of C(U_i, 2), that
-# _pairs_from_members builds. Its peak memory (ru_maxrss delta at 5e6 and 2e7
-# pairs) is ~17 bytes per pair for d >= 2 when the keys fit int32 and ~25-27
-# when they need int64, ~1.6 GB at the budget; for d = 1, where nearly every
-# pair is an edge, ~21 and ~26-28 (~1.7 GB). The GraphTopology of such a
-# d = 1 graph then peaks at ~89-91 bytes per edge. The largest count any
-# test or benchmark workload reaches is ~5.0e5 (n = 1000, K = 100,
-# P = 10^4), 120 times below; n = 10^5, K = 100, P = 10^4 would need ~5e9.
+# _pairs_from_members builds. Its peak memory (ru_maxrss delta in a child at
+# 6.5e6 and 2.0e7 pairs, n = 10^4) is ~12-13 bytes per pair for d >= 2 when
+# the keys fit int32 and ~24-25 when they need int64, ~1.5 GB at the budget;
+# for d = 1, where nearly every pair is an edge, ~17-29 (the allocated peak
+# is ~19; the rest is freed heap that malloc keeps) and ~24-25. The
+# GraphTopology of such a d = 1 graph then peaks at ~89-91 bytes per edge.
+# The largest count any test or benchmark workload reaches is ~5.0e5
+# (n = 1000, K = 100, P = 10^4), 120 times below; n = 10^5, K = 100,
+# P = 10^4 would need ~5e9.
 _PAIR_KEY_BUDGET = 60_000_000
 
 
@@ -159,16 +161,20 @@ def _pairs_from_members(objects: np.ndarray, lens: np.ndarray, P: int,
         raise InvalidParameterError(
             f"the rings give {pair_keys} within-object node pairs, above the "
             f"budget of {_PAIR_KEY_BUDGET}; lower n or K, or raise P")
-    # every key is below n * max(n, P); int32 halves the bytes each sort moves
-    key = np.int32 if n * max(n, P) <= 1 << 31 else np.int64
+    # every key is below n * max(n, P) and every index into the pairs below
+    # pair_keys; int32 halves the bytes each sort moves
+    key = np.int32 if max(n * max(n, P), pair_keys) <= 1 << 31 else np.int64
     members = np.sort(objects.astype(key, copy=False) * n
                       + np.repeat(np.arange(n, dtype=key), lens)) % n
     # position p pairs with the `later` members after it in its object's run
     position = np.arange(members.size)
     later = np.repeat(np.cumsum(counts), counts) - position - 1
     # pair q of position p has right end p + 1 + (q - first pair of p)
-    right = np.repeat(position + 1 - (np.cumsum(later) - later), later) + np.arange(pair_keys)
+    right = np.repeat((position + 1 - (np.cumsum(later) - later)).astype(key), later)
+    del position
+    right += np.arange(pair_keys, dtype=key)
     keys = np.repeat(members * n, later)
+    del later
     keys += members[right]
     del right
     keep = keys_seen_at_least(keys, d)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -101,6 +102,8 @@ def test_simulate_writes_csv_and_manifest(tmp_path, capsys):
     assert manifest["config"]["workers"] == 1
     assert list(manifest["outputs"]) == ["run.csv"]
     assert manifest["outputs"]["run.csv"].startswith("sha256:")
+    assert set(manifest["environment"]) == {"python", "numpy", "scipy",
+                                            "cpu_count", "platform"}
 
 
 SMALL_RUNS = {
@@ -184,6 +187,23 @@ def test_sweep_rerun_is_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_csv_does_not_depend_on_the_schedule(tmp_path, monkeypatch, command):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    argv = {"simulate": ("simulate", "-n", 60, "-K", 3, "-P", 15, "-d", 1,
+                         "-g", 0.8, "--trials", 9, "--seed", 4),
+            "sweep": ("sweep", "-n", 60, "-K", 3, "-P", 15, "-d", 1,
+                      "--axis", "g", "--values", "0.5,0.9",
+                      "--trials", 9, "--seed", 4)}[command]
+    csvs = []
+    for start_s in (math.inf, 0.0):  # forced serial, then a pool at once
+        monkeypatch.setattr(experiments, "_POOL_START_S", start_s)
+        out = tmp_path / f"{start_s}.csv"
+        assert run_cli(*argv, "--workers", 2, "--out", out) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
@@ -253,6 +273,28 @@ def test_containment_violation_is_raised_and_exits_4(monkeypatch, capsys, thread
     monkeypatch.setattr(experiments, "gen_coupled_pair", lambda *args: broken)
     with pytest.raises(ContainmentViolationError, match="valid trial 0$"):
         experiments.coupling_validity_rate(4, 50, 500, 2, trials=3)
+    assert run_cli("verify", "coupling", "-n", 200, "-K", 50, "-P", 500,
+                   "-d", 2, "--trials", 3) == 4
+    assert "invariant violation" in capsys.readouterr().err
+
+
+def test_containment_violation_in_a_worker_names_its_trial(monkeypatch, capsys):
+    # The parent runs trial 0, then the pool starts: with 3 trials and two
+    # processes the parent takes trial 1 and the worker trial 2.
+    monkeypatch.setenv("RG_LAB_THREADS", "2")
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments, "_POOL_START_S", 0.0)
+    good = CoupledPair(h=GraphTopology(4, [(0, 1)]), g=GraphTopology(4, [(0, 1)]),
+                       coupling_valid=True, x=0.1)
+    broken = CoupledPair(h=GraphTopology(4, [(0, 1), (2, 3)]),
+                         g=GraphTopology(4, [(0, 1), (1, 2)]),
+                         coupling_valid=True, x=0.1)
+    monkeypatch.setattr(experiments, "trial_rng", lambda base_seed, i: i)
+    monkeypatch.setattr(experiments, "gen_coupled_pair",
+                        lambda n, K, P, d, i: broken if i == 2 else good)
+    with pytest.raises(ContainmentViolationError, match="valid trial 2$") as exc:
+        experiments.coupling_validity_rate(4, 50, 500, 2, trials=3)
+    assert type(exc.value.__cause__).__name__ == "_RemoteTraceback"
     assert run_cli("verify", "coupling", "-n", 200, "-K", 50, "-P", 500,
                    "-d", 2, "--trials", 3) == 4
     assert "invariant violation" in capsys.readouterr().err

@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import operator
+from functools import partial
 
 import numpy as np
 import pytest
@@ -77,8 +80,8 @@ def test_worker_count_is_capped_at_cpus_and_trials(monkeypatch):
     assert experiments.resolve_workers(4, 10) == 1
 
 
-def test_sweep_points_share_one_pool(monkeypatch):
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)  # a pool even on one CPU
+def _count_pools(monkeypatch) -> list:
+    """Record every ProcessPoolExecutor that experiments constructs."""
     pools = []
 
     class CountingPool(experiments.ProcessPoolExecutor):
@@ -87,6 +90,13 @@ def test_sweep_points_share_one_pool(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    return pools
+
+
+def test_sweep_points_share_one_pool(monkeypatch):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)  # a pool even on one CPU
+    monkeypatch.setattr(experiments, "_POOL_START_S", 0.0)  # a pool for any trial cost
+    pools = _count_pools(monkeypatch)
     cfg = ExperimentConfig(params=ModelParams(n=60, K=4, P=20, d=2, f=0.9, g=0.9),
                            m=0, trials=12, base_seed=5,
                            sweep=("g", (0.5, 0.7, 0.9)))
@@ -94,6 +104,52 @@ def test_sweep_points_share_one_pool(monkeypatch):
     assert len(pools) == 1
     serial = sweep_experiment(cfg, workers=1)
     assert [r.successes for r in rows] == [r.successes for r in serial]
+
+
+def _map_all(workers, trials, trial):
+    with experiments._trial_map(workers, trials) as map_trials:
+        return map_trials(trial)
+
+
+def _fail_at(bad: int, i: int) -> int:
+    if i == bad:
+        raise ValueError(f"trial {i} failed")
+    return i
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_trial_map_does_not_depend_on_the_schedule(monkeypatch, workers):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+    params = ModelParams(n=60, K=4, P=20, d=2, f=0.9, g=0.9)
+    trials = (operator.neg, partial(experiments._degree_trial, params, (0, 1, 2), 5))
+    monkeypatch.setattr(experiments, "_POOL_START_S", math.inf)
+    serial = [_map_all(workers, 7, trial) for trial in trials]
+    assert serial[0] == [-i for i in range(7)]
+    monkeypatch.setattr(experiments, "_POOL_START_S", 0.0)
+    pools = _count_pools(monkeypatch)
+    assert [_map_all(workers, 7, trial) for trial in trials] == serial
+    assert [p._max_workers for p in pools] == [workers - 1] * 2
+
+
+def test_cheap_trials_start_no_pool(monkeypatch):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    pools = _count_pools(monkeypatch)
+    # ~1 ms a trial: a pool would pay only if the first trial took > 32 ms
+    cfg = ExperimentConfig(params=ModelParams(n=10, K=2, P=6, d=1, f=1.0, g=1.0),
+                           m=0, trials=2, base_seed=5)
+    run_resilience_trials(cfg, workers=2)
+    assert pools == []
+
+
+@pytest.mark.parametrize("bad", [1, 5])  # in the parent's chunk, in a worker's
+def test_no_worker_outlives_a_failed_trial(monkeypatch, bad):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments, "_POOL_START_S", 0.0)
+    pools = _count_pools(monkeypatch)
+    with pytest.raises(ValueError, match=f"trial {bad} failed"):
+        _map_all(2, 6, partial(_fail_at, bad))
+    assert len(pools) == 1
+    assert multiprocessing.active_children() == []
 
 
 def test_verify_reports_do_not_depend_on_worker_count(monkeypatch):
