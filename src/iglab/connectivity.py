@@ -53,25 +53,28 @@ def remove_nodes(g: GraphTopology, victims) -> GraphTopology:
         raise InvalidParameterError("victims must be a subset of node ids")
     alive = np.ones(g.n, dtype=bool)
     alive[[int(v) for v in victims]] = False
-    relabel = np.cumsum(alive) - 1
-    kept = g.pairs[alive[g.pairs].all(axis=1)]
-    return GraphTopology(g.n - len(victims), relabel[kept])
+    relabel, pairs = np.cumsum(alive) - 1, g.pairs
+    return GraphTopology(g.n - len(victims), relabel[pairs[alive[pairs].all(axis=1)]])
+
+
+def _adjacency(g: GraphTopology) -> list[list[int]]:
+    """The CSR rows as Python lists, for the searches that walk them."""
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
+    return [indices[indptr[u]:indptr[u + 1]] for u in range(g.n)]
 
 
 # -- articulation points (k=2 fast path) -----------------------------------
 
-def _has_articulation_point(g: GraphTopology) -> bool:
-    """Iterative Hopcroft-Tarjan cut-vertex search; assumes g connected."""
-    n = g.n
-    indptr = g.indptr.tolist()
-    indices = g.indices.tolist()
+def _has_articulation_point(adj: list[list[int]]) -> bool:
+    """Iterative Hopcroft-Tarjan cut-vertex search; assumes a connected graph."""
+    n = len(adj)
     disc = [-1] * n
     low = [0] * n
     parent = [-1] * n
     timer = 0
     root = 0
     root_children = 0
-    stack = [(root, iter(indices[indptr[root]:indptr[root + 1]]))]
+    stack = [(root, iter(adj[root]))]
     disc[root] = low[root] = timer
     timer += 1
     while stack:
@@ -84,7 +87,7 @@ def _has_articulation_point(g: GraphTopology) -> bool:
                 timer += 1
                 if u == root:
                     root_children += 1
-                stack.append((v, iter(indices[indptr[v]:indptr[v + 1]])))
+                stack.append((v, iter(adj[v])))
                 advanced = True
                 break
             elif v != parent[u] and disc[v] < low[u]:
@@ -168,7 +171,7 @@ def _has_k_paths(adj: list[list[int]], k: int, t: int, source: set[int]) -> bool
     return True
 
 
-def _even_k_connected(g: GraphTopology, k: int, order: list[int],
+def _even_k_connected(adj: list[list[int]], k: int, order: list[int],
                       earlier: list[int]) -> bool:
     """Even's test (SIAM J. Comput. 4:393, 1975); needs n > k.
 
@@ -180,8 +183,6 @@ def _even_k_connected(g: GraphTopology, k: int, order: list[int],
     internally disjoint paths iff k paths from distinct neighbours of a reach
     b; G - a is not needed, since a path through a can start after it.
     """
-    indptr, indices = g.indptr.tolist(), g.indices.tolist()
-    adj = [indices[indptr[u]:indptr[u + 1]] for u in range(g.n)]
     for a, b in combinations(order[:k], 2):
         near_a = set(adj[a])
         if b not in near_a and not _has_k_paths(adj, k, b, near_a):
@@ -199,10 +200,10 @@ def vertex_connectivity(g: GraphTopology) -> int:
     kappa = 0
     while kappa < 2 and is_k_connected(g, kappa + 1):
         kappa += 1
-    if kappa == 2:  # one order serves every k
-        order, earlier = _max_adjacency_order(g)
+    if kappa == 2:  # one adjacency and one order serve every k
+        adj, (order, earlier) = _adjacency(g), _max_adjacency_order(g)
         while (g.n > kappa + 1 and min_degree(g) > kappa
-               and _even_k_connected(g, kappa + 1, order, earlier)):
+               and _even_k_connected(adj, kappa + 1, order, earlier)):
             kappa += 1
     return kappa
 
@@ -222,8 +223,8 @@ def is_k_connected(g: GraphTopology, k: int) -> bool:
     if not is_connected(g):
         return False
     if k == 2:
-        return not _has_articulation_point(g)
-    return _even_k_connected(g, k, *_max_adjacency_order(g))
+        return not _has_articulation_point(_adjacency(g))
+    return _even_k_connected(_adjacency(g), k, *_max_adjacency_order(g))
 
 
 def survives_node_failures(g: GraphTopology, m: int) -> bool:

@@ -31,8 +31,8 @@ _REJECTION_DENSITY_CUTOFF = 0.1
 # 6.5e6 and 2.0e7 pairs, n = 10^4) is ~12-13 bytes per pair for d >= 2 when
 # the keys fit int32 and ~24-25 when they need int64, ~1.5 GB at the budget;
 # for d = 1, where nearly every pair is an edge, ~17-29 (the allocated peak
-# is ~19; the rest is freed heap that malloc keeps) and ~24-25. The
-# GraphTopology of such a d = 1 graph then peaks at ~89-91 bytes per edge.
+# is ~19; the rest is freed heap that malloc keeps) and ~24-25. For d = 1,
+# graph_from_rings, GraphTopology included, peaks at ~68-69 bytes per edge.
 # The largest count any test or benchmark workload reaches is ~5.0e5
 # (n = 1000, K = 100, P = 10^4), 120 times below; n = 10^5, K = 100,
 # P = 10^4 would need ~5e9.

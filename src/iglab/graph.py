@@ -1,10 +1,9 @@
 """Immutable undirected simple graph on dense integer node ids.
 
-Each edge is stored once, as a row (i, j) with i < j of a sorted,
-de-duplicated (E, 2) int64 array `pairs`, together with a CSR adjacency
-(`indptr`, `indices`) over both directions whose rows are sorted. The arrays
-are built once per graph and set read-only, so instances can be shared
-freely across concurrent trial workers.
+The graph is one CSR adjacency (`indptr`, `indices`) over both directions
+of every edge, with each row sorted and free of repeats. It is built once
+per graph and set read-only, so instances can be shared freely across
+concurrent trial workers. `pairs` and `edges` are derived from it, not stored.
 """
 
 from __future__ import annotations
@@ -21,76 +20,77 @@ from .errors import InvalidParameterError
 class GraphTopology:
     """Undirected simple graph on nodes 0..n-1.
 
-    `edges` may be any iterable of (i, j) pairs or an (E, 2) integer array;
-    pairs are normalised to i < j and duplicates dropped.
+    `edges` may be any iterable of (i, j) integer pairs or an (E, 2) integer
+    array; pairs are normalised to i < j and duplicates dropped.
     """
 
-    __slots__ = ("n", "pairs", "indptr", "indices", "_edges")
+    __slots__ = ("n", "indptr", "indices")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray = ()):
         if n < 0:
             raise InvalidParameterError(f"node count must be non-negative, got {n}")
         self.n = n = int(n)
-        ends = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
-                          dtype=np.int64)
+        ends = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
         if ends.size == 0:
-            ends = ends.reshape(0, 2)
+            ends = np.empty((0, 2), dtype=np.int64)
         if ends.ndim != 2 or ends.shape[1] != 2:
             raise InvalidParameterError(f"edges must be (i, j) pairs, got shape {ends.shape}")
-        lo = np.minimum(ends[:, 0], ends[:, 1])
-        hi = np.maximum(ends[:, 0], ends[:, 1])
-        bad = (lo == hi) | (lo < 0) | (hi >= n)
+        if ends.dtype.kind not in "iu":
+            raise InvalidParameterError(f"edges must be integer node ids, got {ends.dtype}")
+        i, j = ends.astype(np.int64, copy=False).T
+        bad = (i == j) | (i < 0) | (j < 0) | (i >= n) | (j >= n)
         if bad.any():
             i, j = ends[bad.argmax()].tolist()
             if i == j:
                 raise InvalidParameterError(f"self-loop at node {i}")
             raise InvalidParameterError(f"edge ({i},{j}) out of range for n={n}")
-        keys = keys_seen_at_least(lo * n + hi, 1)
-        pairs = np.stack((keys // n, keys % n), axis=1)
-        # both directions, sorted by (row, column)
-        both = np.sort(np.concatenate((keys, pairs[:, 1] * n + pairs[:, 0])))
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(pairs.ravel(), minlength=n), out=indptr[1:])
-        self.pairs, self.indptr, self.indices = pairs, indptr, both % n
-        for a in (self.pairs, self.indptr, self.indices):
+        # one sort of the keys row * n + column of both directions drops the
+        # repeats and orders every row
+        keys = keys_seen_at_least(np.concatenate((i * n + j, j * n + i)), 1)
+        self.indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        self.indices = keys % n
+        for a in (self.indptr, self.indices):
             a.flags.writeable = False
-        self._edges: frozenset[tuple[int, int]] | None = None
 
     # -- queries ---------------------------------------------------------
 
     @property
+    def pairs(self) -> np.ndarray:
+        """The edges as a sorted (E, 2) int64 array of rows (i, j), i < j."""
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        upper = rows < self.indices
+        return np.stack((rows[upper], self.indices[upper]), axis=1)
+
+    @property
     def edges(self) -> frozenset[tuple[int, int]]:
-        """The edge set as (i, j) tuples with i < j, built on first use."""
-        if self._edges is None:
-            self._edges = frozenset(zip(self.pairs[:, 0].tolist(), self.pairs[:, 1].tolist()))
-        return self._edges
+        """The edge set as (i, j) tuples with i < j."""
+        return frozenset(zip(*self.pairs.T.tolist()))
 
     def has_edge(self, i: int, j: int) -> bool:
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            return False
-        row = self.indices[self.indptr[i]:self.indptr[i + 1]]
-        k = int(np.searchsorted(row, j))
-        return k < row.size and bool(row[k] == j)
+        return 0 <= i < self.n and 0 <= j < self.n and j in self.neighbors(i)
 
     def neighbors(self, i: int) -> frozenset[int]:
+        if not 0 <= i < self.n:
+            raise InvalidParameterError(f"node {i} out of range for n={self.n}")
         return frozenset(self.indices[self.indptr[i]:self.indptr[i + 1]].tolist())
 
     def degree(self, i: int) -> int:
-        return int(self.indptr[i + 1] - self.indptr[i])
+        return len(self.neighbors(i))
 
     def edge_count(self) -> int:
-        return len(self.pairs)
+        return self.indices.size // 2
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GraphTopology):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self.pairs, other.pairs)
+        # node v occurs deg(v) times in indices, so they fix indptr too
+        return self.n == other.n and np.array_equal(self.indices, other.indices)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.pairs.tobytes()))
+        return hash((self.n, self.indices.tobytes()))
 
     def __repr__(self) -> str:
-        return f"GraphTopology(n={self.n}, edges={len(self.pairs)})"
+        return f"GraphTopology(n={self.n}, edges={self.edge_count()})"
 
 
 def keys_seen_at_least(keys: np.ndarray, d: int) -> np.ndarray:
@@ -112,11 +112,9 @@ def keys_seen_at_least(keys: np.ndarray, d: int) -> np.ndarray:
 def intersect_graphs(g1: GraphTopology, g2: GraphTopology) -> GraphTopology:
     """Graph whose edge set is the intersection of the two edge sets."""
     if g1.n != g2.n:
-        raise InvalidParameterError(
-            f"node count mismatch: {g1.n} vs {g2.n}"
-        )
+        raise InvalidParameterError(f"node count mismatch: {g1.n} vs {g2.n}")
     n = g1.n
-    keys1, keys2 = (g.pairs[:, 0] * n + g.pairs[:, 1] for g in (g1, g2))
+    keys1, keys2 = (pairs[:, 0] * n + pairs[:, 1] for pairs in (g1.pairs, g2.pairs))
     common = np.intersect1d(keys1, keys2, assume_unique=True)
     return GraphTopology(n, np.stack((common // n, common % n), axis=1))
 

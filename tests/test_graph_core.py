@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iglab.errors import InvalidParameterError
+from iglab.generators import gen_object_rings_uniform, graph_from_rings, trial_rng
 from iglab.graph import (
     GraphTopology,
     connected_components,
@@ -21,9 +24,7 @@ def complete(n):
 
 
 # The constructor takes any iterable of pairs or an (E, 2) array.
-edge_forms = pytest.mark.parametrize(
-    "form", [list, lambda edges: np.array(edges, dtype=np.int64)], ids=["tuples", "ndarray"]
-)
+edge_forms = pytest.mark.parametrize("form", [list, np.array], ids=["tuples", "ndarray"])
 
 
 @edge_forms
@@ -34,16 +35,54 @@ def test_construction_normalizes_and_deduplicates(form):
     assert g.neighbors(0) == {1}
     other = GraphTopology(4, [(0, 1), (2, 3)])
     assert g == other and hash(g) == hash(other)
+    assert GraphTopology(4, np.array([(1, 0), (2, 3)], dtype=np.int32)) == other
 
 
 @edge_forms
 def test_construction_rejects_bad_edges(form):
-    with pytest.raises(InvalidParameterError):
-        GraphTopology(3, form([(0, 0)]))
-    with pytest.raises(InvalidParameterError):
-        GraphTopology(3, form([(0, 3)]))
-    with pytest.raises(InvalidParameterError):
-        GraphTopology(3, form([(0, -1)]))
+    # self-loop, out of range on either side, and fractional ids, which
+    # must not be truncated to integers
+    for edges in ([(0, 0)], [(0, 3)], [(0, -1)], [(0.7, 1.2), (1.9, 2.0)], [(0.5, 2)]):
+        with pytest.raises(InvalidParameterError):
+            GraphTopology(3, form(edges))
+
+
+def test_node_queries_reject_out_of_range_ids():
+    path = GraphTopology(3, [(0, 1), (1, 2)])
+    for node in (-1, 3):
+        with pytest.raises(InvalidParameterError):
+            path.degree(node)
+        with pytest.raises(InvalidParameterError):
+            path.neighbors(node)
+        assert not path.has_edge(node, 1) and not path.has_edge(1, node)
+
+
+def test_construction_memory_per_edge():
+    """Bytes per edge that the constructor keeps and peaks at on a d = 1 ring
+    set (n = 2000, K = 20, P = 400: about 1.3e6 edges), read by tracemalloc,
+    which sees every numpy allocation. The input array is made before tracing.
+
+    Held: the CSR is 2E int64 column ids, 16 B/edge, plus n + 1 row offsets.
+    The bound of 17 leaves room for those offsets and nothing more, so any
+    second stored copy of the edges (at least 8 B/edge more) fails it.
+    Peak: one sort of the keys of both directions has the keys, their
+    sorted copy and the de-duplicated result alive at once (3 x 16 B/edge)
+    plus two boolean run masks (2 x 2), 52 B/edge. The bound of 60 allows
+    that and fails a build that also keeps the keys of one direction or an
+    (E, 2) pair array next to them (68 or more).
+    """
+    g = graph_from_rings(gen_object_rings_uniform(2000, 20, 400, trial_rng(0, 0)), 1)
+    pairs, edges = g.pairs, g.edge_count()
+    assert edges > 10**6
+    tracemalloc.start()
+    try:
+        rebuilt = GraphTopology(g.n, pairs)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rebuilt == g
+    assert held / edges <= 17, f"held {held / edges:.1f} B/edge"
+    assert peak / edges <= 60, f"peak {peak / edges:.1f} B/edge"
 
 
 def test_intersect_trivial_cases():
@@ -133,6 +172,25 @@ def test_intersection_properties(a, b):
     assert intersect_graphs(g1, g1) == g1  # idempotence
     assert intersect_graphs(g1, g2) == intersect_graphs(g2, g1)  # commutativity
     assert intersect_graphs(g1, g2).edges == g1.edges & g2.edges
+
+
+@settings(max_examples=80)
+@given(edge_sets, st.randoms(use_true_random=False))
+def test_one_graph_per_edge_set(a, rnd):
+    n, edges = a
+    norm = {(min(e), max(e)) for e in edges}
+    g = GraphTopology(n, edges)
+    assert g.edges == norm
+    # shuffled, each pair in either direction, every pair twice
+    noisy = [e[::-1] if rnd.random() < 0.5 else e for e in [*edges, *edges]]
+    rnd.shuffle(noisy)
+    h = GraphTopology(n, noisy)
+    assert h == g and hash(h) == hash(g)
+    assert GraphTopology(n, g.pairs) == g
+    for v in range(n):
+        nbrs = {u for e in norm if v in e for u in e if u != v}
+        assert g.neighbors(v) == nbrs and g.degree(v) == len(nbrs)
+        assert all(g.has_edge(v, u) == ((min(u, v), max(u, v)) in norm) for u in range(n))
 
 
 @settings(max_examples=80)
