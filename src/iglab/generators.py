@@ -27,12 +27,11 @@ from .theory import ModelParams
 _REJECTION_DENSITY_CUTOFF = 0.1
 
 # Most within-object node pairs, sum over objects of C(U_i, 2), that
-# _pairs_from_members builds. Its peak memory (ru_maxrss delta in a child at
-# 6.5e6 and 2.0e7 pairs, n = 10^4) is ~12-13 bytes per pair for d >= 2 when
-# the keys fit int32 and ~24-25 when they need int64, ~1.5 GB at the budget;
-# for d = 1, where nearly every pair is an edge, ~17-29 (the allocated peak
-# is ~19; the rest is freed heap that malloc keeps) and ~24-25. For d = 1,
-# graph_from_rings, GraphTopology included, peaks at ~68-69 bytes per edge.
+# _pairs_from_rings builds. Its peak memory (ru_maxrss delta in a child at
+# 6.5e6 and 2.0e7 pairs, n = 10^4) is ~12 bytes per pair for d >= 2 when the
+# keys fit int32 and ~23 when they need int64, ~1.4 GB at the budget; for
+# d = 1, where nearly every pair is an edge, ~16-24 and ~23. For d = 1,
+# graph_from_rings, GraphTopology included, peaks at ~51-52 bytes per edge.
 # The largest count any test or benchmark workload reaches is ~5.0e5
 # (n = 1000, K = 100, P = 10^4), 120 times below; n = 10^5, K = 100,
 # P = 10^4 would need ~5e9.
@@ -53,7 +52,7 @@ def trial_rng(base_seed: int, *path: int) -> np.random.Generator:
 class ObjectAssignment:
     """Per-node object rings drawn from the pool {0..pool_size-1}."""
 
-    rings: list  # list of sorted int64 arrays, one per node
+    rings: np.ndarray | list  # sorted int64 rings: an (n, K) matrix or one array per node
     pool_size: int
 
     @property
@@ -73,9 +72,23 @@ class HalfCountSummary:
     y: int
 
 
+def _ring_members(assign: ObjectAssignment) -> tuple[np.ndarray, np.ndarray]:
+    """(objects, lens): the rings of nodes 0, 1, ... back to back and each
+    ring's size. Raises InvalidParameterError for objects outside the pool."""
+    rings = assign.rings
+    if isinstance(rings, np.ndarray):
+        objects, lens = rings.ravel(), np.full(len(rings), rings.shape[1])
+    else:
+        objects = np.concatenate([np.empty(0, np.int64), *rings])
+        lens = np.fromiter(map(len, rings), dtype=np.int64, count=len(rings))
+    if objects.size and not (0 <= objects.min() and objects.max() < assign.pool_size):
+        raise InvalidParameterError(f"ring objects must lie in 0..{assign.pool_size - 1}, "
+                                    f"got {objects.min()}..{objects.max()}")
+    return objects, lens
+
+
 def half_count_summary(assign: ObjectAssignment) -> HalfCountSummary:
-    members = np.concatenate([np.empty(0, np.int64), *assign.rings])
-    u = np.bincount(members.astype(np.int64, copy=False), minlength=assign.pool_size)
+    u = np.bincount(_ring_members(assign)[0], minlength=assign.pool_size)
     w = u // 2
     return HalfCountSummary(u_counts=u, w_counts=w, y=int(w.sum()))
 
@@ -98,10 +111,10 @@ def _smallest_k(keys: np.ndarray, K: int) -> np.ndarray:
     return np.sort(np.argpartition(keys, K - 1, axis=1)[:, :K], axis=1)
 
 
-def _uniform_ring_rows(n: int, K: int, P: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    """(n, K) int64 matrix whose rows are independent uniform K-subsets of
-    {0..P-1}, each sorted ascending."""
+def gen_object_rings_uniform(n: int, K: int, P: int,
+                             rng: np.random.Generator) -> ObjectAssignment:
+    """Independent uniform K-subsets of {0..P-1}, one per node: the rows of
+    an (n, K) int64 matrix, each sorted ascending."""
     if not (1 <= K <= P):
         raise InvalidParameterError(f"need 1 <= K <= P, got K={K}, P={P}")
     if n < 0:
@@ -114,15 +127,10 @@ def _uniform_ring_rows(n: int, K: int, P: int,
         while redraw.size:
             mat[redraw] = np.sort(rng.integers(0, P, size=(redraw.size, K), dtype=np.int64), axis=1)
             redraw = redraw[(np.diff(mat[redraw], axis=1) == 0).any(axis=1)]
-        return mat
-    return np.concatenate([np.empty((0, K), np.int64),
-                           *(_smallest_k(keys, K) for keys in _uniform_row_blocks(n, P, rng))])
-
-
-def gen_object_rings_uniform(n: int, K: int, P: int,
-                             rng: np.random.Generator) -> ObjectAssignment:
-    """Independent uniform K-subsets of {0..P-1}, one per node."""
-    return ObjectAssignment(rings=list(_uniform_ring_rows(n, K, P, rng)), pool_size=P)
+    else:
+        mat = np.concatenate([np.empty((0, K), np.int64),
+                              *(_smallest_k(keys, K) for keys in _uniform_row_blocks(n, P, rng))])
+    return ObjectAssignment(rings=mat, pool_size=P)
 
 
 def gen_object_rings_binomial(n: int, x: float, P: int,
@@ -139,20 +147,19 @@ def gen_object_rings_binomial(n: int, x: float, P: int,
 
 # -- overlap graph ---------------------------------------------------------
 
-def _pairs_from_members(objects: np.ndarray, lens: np.ndarray, P: int,
-                        d: int) -> np.ndarray:
-    """(E, 2) int64 array of node pairs sharing >= d objects, sorted, i < j.
+def _pairs_from_rings(assign: ObjectAssignment, d: int) -> np.ndarray:
+    """(E, 2) int64 array of node pairs whose rings share >= d objects, i < j.
 
-    `objects` holds the ring of node 0, then node 1, ..., `lens[v]` objects
-    for node v, all drawn from {0..P-1}. Inverted-index counting: one sort
-    of the keys obj * n + node groups the ring memberships by object, with
-    node ids ascending inside each object. Every member emits the key
-    lo * n + hi for each later member of its object, and the keys seen at
-    least d times are the edges. Same graph as pairwise set intersection,
-    much cheaper in the sparse regime. Raises InvalidParameterError, before
-    any pair is built, when the pairs number more than _PAIR_KEY_BUDGET.
+    Inverted-index counting: one sort of the keys obj * n + node groups the
+    ring memberships by object, with node ids ascending inside each object.
+    Every member emits the key lo * n + hi for each later member of its
+    object, and the keys seen at least d times are the edges. Same graph as
+    pairwise set intersection, much cheaper in the sparse regime. Raises
+    InvalidParameterError, before any pair is built, when the pairs number
+    more than _PAIR_KEY_BUDGET.
     """
-    n = lens.size
+    objects, lens = _ring_members(assign)
+    n, P = lens.size, assign.pool_size
     if objects.size == 0 or n < 2:
         return np.empty((0, 2), dtype=np.int64)
     counts = np.bincount(objects, minlength=P)
@@ -182,13 +189,6 @@ def _pairs_from_members(objects: np.ndarray, lens: np.ndarray, P: int,
     pairs = np.empty((keep.size, 2), dtype=np.int64)
     np.divmod(keep, n, out=(pairs[:, 0], pairs[:, 1]))
     return pairs
-
-
-def _pairs_from_rings(assign: ObjectAssignment, d: int) -> np.ndarray:
-    """_pairs_from_members over the rings of an assignment."""
-    lens = np.fromiter(map(len, assign.rings), dtype=np.int64, count=assign.node_count)
-    objects = np.concatenate([np.empty(0, np.int64), *assign.rings])
-    return _pairs_from_members(objects, lens, assign.pool_size, d)
 
 
 def graph_from_rings(assign: ObjectAssignment, d: int) -> GraphTopology:
@@ -252,8 +252,7 @@ def gen_model_graph(params: ModelParams, rng: np.random.Generator,
             f"rings of K={K} of P={P} objects on n={n} nodes give about "
             f"{expected:.3g} within-object node pairs, above the budget of "
             f"{_PAIR_KEY_BUDGET}; lower n or K, or raise P")
-    rings = _uniform_ring_rows(n, K, P, rng)
-    pairs = _pairs_from_members(rings.ravel(), np.full(n, K), P, params.d)
+    pairs = _pairs_from_rings(gen_object_rings_uniform(n, K, P, rng), params.d)
     if explicit_layers:
         layer_f = gen_er(n, params.f, rng)
         layer_g = gen_er(n, params.g, rng)
@@ -324,12 +323,12 @@ def gen_coupled_pair(n: int, K: int, P: int, d: int,
     G's whenever no H ring has more than K objects (coupling_valid).
     """
     thr = coupling_threshold_x(K, P, n)
-    rings_b, rings_u = [], []
+    rings_b, blocks_u = [], []
     for keys in _uniform_row_blocks(n, P, rng):
         rings_b.extend(np.nonzero(row)[0] for row in keys < thr.x)
-        rings_u.extend(_smallest_k(keys, K))
+        blocks_u.append(_smallest_k(keys, K))
     h = graph_from_rings(ObjectAssignment(rings=rings_b, pool_size=P), d)
-    g = graph_from_rings(ObjectAssignment(rings=rings_u, pool_size=P), d)
+    g = graph_from_rings(ObjectAssignment(rings=np.concatenate(blocks_u), pool_size=P), d)
     valid = max(map(len, rings_b)) <= K
     return CoupledPair(h=h, g=g, coupling_valid=valid, x=thr.x)
 

@@ -96,15 +96,16 @@ class GraphTopology:
 def keys_seen_at_least(keys: np.ndarray, d: int) -> np.ndarray:
     """Sorted distinct values that occur at least d >= 1 times in `keys`.
 
-    One sort, then keep s[i] when it starts a run (s[i] != s[i-1]) that is
-    at least d long (s[i] == s[i+d-1]). np.unique(return_counts=True) gives
-    the same values but hashes integer keys, which is many times slower.
+    Sorts `keys` in place, so callers pass arrays they no longer need. Then
+    s[i] is kept when it starts a run (s[i] != s[i-1]) at least d long
+    (s[i] == s[i+d-1]). np.unique(return_counts=True) gives the same values
+    but hashes integer keys, which is many times slower.
     """
-    s = np.sort(keys)
-    if s.size < d:
-        return s[:0]
-    head = s[:s.size - d + 1]
-    keep = s[d - 1:] == head
+    keys.sort()
+    if keys.size < d:
+        return keys[:0]
+    head = keys[:keys.size - d + 1]
+    keep = keys[d - 1:] == head
     keep[1:] &= head[1:] != head[:-1]
     return head[keep]
 

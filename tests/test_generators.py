@@ -244,6 +244,26 @@ def test_gen_model_graph_matches_reference_on_fixed_seeds(n, K, P):
             g = gen_model_graph(params, trial_rng(34, d, i))
             assert g.edge_count() > 0
             assert g == _reference_model_graph(params, trial_rng(34, d, i))
+        # unthinned, the model graph is the public ring sampler and overlap
+        # graph on the same stream
+        unthinned = ModelParams(n=n, K=K, P=P, d=d, f=1.0, g=1.0)
+        assert gen_model_graph(unthinned, trial_rng(35, d)) == graph_from_rings(
+            gen_object_rings_uniform(n, K, P, trial_rng(35, d)), d)
+
+
+@pytest.mark.parametrize("bad", [1_100_000, -1], ids=["above-pool", "negative"])
+@pytest.mark.parametrize("form", [list, np.array], ids=["ring-list", "ring-matrix"])
+def test_ring_objects_outside_the_pool_are_refused(bad, form):
+    # Pair keys are sized from n * max(n, P), so an object at or above P
+    # would overflow int32 keys and drop or invent edges (nodes 0 and 1 share
+    # both objects), and a negative object would fail inside bincount.
+    n, P = 2000, 10 ** 6
+    rings = [sorted({5, bad})] * 2 + [[2 * v + 7, 2 * v + 8] for v in range(2, n)]
+    assign = ObjectAssignment(rings=form([np.array(r) for r in rings]), pool_size=P)
+    with pytest.raises(InvalidParameterError, match="ring objects"):
+        graph_from_rings(assign, 2)
+    with pytest.raises(InvalidParameterError, match="ring objects"):
+        half_count_summary(assign)
 
 
 def test_graph_from_rings_object_label_invariance():

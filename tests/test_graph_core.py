@@ -65,11 +65,11 @@ def test_construction_memory_per_edge():
     Held: the CSR is 2E int64 column ids, 16 B/edge, plus n + 1 row offsets.
     The bound of 17 leaves room for those offsets and nothing more, so any
     second stored copy of the edges (at least 8 B/edge more) fails it.
-    Peak: one sort of the keys of both directions has the keys, their
-    sorted copy and the de-duplicated result alive at once (3 x 16 B/edge)
-    plus two boolean run masks (2 x 2), 52 B/edge. The bound of 60 allows
-    that and fails a build that also keeps the keys of one direction or an
-    (E, 2) pair array next to them (68 or more).
+    Peak: the keys of both directions are sorted in place, so the keys and
+    the de-duplicated result are alive at once (2 x 16 B/edge) plus two
+    boolean run masks (2 x 2), 36 B/edge. The bound of 40 allows that and
+    fails a build that sorts a copy of the keys (52) or also keeps the keys
+    of one direction or an (E, 2) pair array next to them (52 or more).
     """
     g = graph_from_rings(gen_object_rings_uniform(2000, 20, 400, trial_rng(0, 0)), 1)
     pairs, edges = g.pairs, g.edge_count()
@@ -82,7 +82,7 @@ def test_construction_memory_per_edge():
         tracemalloc.stop()
     assert rebuilt == g
     assert held / edges <= 17, f"held {held / edges:.1f} B/edge"
-    assert peak / edges <= 60, f"peak {peak / edges:.1f} B/edge"
+    assert peak / edges <= 40, f"peak {peak / edges:.1f} B/edge"
 
 
 def test_intersect_trivial_cases():
@@ -143,7 +143,7 @@ key_sets = [np.empty(0, np.int64), np.array([5]), np.array([7, 7]), np.full(9, 3
 @pytest.mark.parametrize("keys", key_sets, ids=range(len(key_sets)))
 def test_keys_seen_at_least_matches_unique_counts(keys, d):
     values, counts = np.unique(keys, return_counts=True)
-    got = keys_seen_at_least(keys, d)
+    got = keys_seen_at_least(keys.copy(), d)
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got, values[counts >= d])
 
