@@ -3,7 +3,7 @@
 A graph survives any m node failures iff it is (m+1)-connected, so the
 universal quantifier over failure sets is decided exactly via vertex
 connectivity (Menger) rather than by sampling. Fast paths: k=1 by
-traversal, k=2 by articulation-point search; k >= 3 by Even's test on a
+components, k=2 by articulation-point search; k >= 3 by Even's test on a
 maximum-adjacency order, whose checks run early-exit augmenting-path
 searches over the graph's own CSR adjacency, node-split only implicitly.
 """
@@ -216,12 +216,10 @@ def is_k_connected(g: GraphTopology, k: int) -> bool:
     n = g.n
     if n < k + 1:
         return False
+    if min_degree(g) < k or not is_connected(g):
+        return False
     if k == 1:
-        return is_connected(g)
-    if min_degree(g) < k:
-        return False
-    if not is_connected(g):
-        return False
+        return True
     if k == 2:
         return not _has_articulation_point(_adjacency(g))
     return _even_k_connected(_adjacency(g), k, *_max_adjacency_order(g))

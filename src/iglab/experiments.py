@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .connectivity import is_k_connected, min_degree_at_least, survives_node_failures
 from .errors import ContainmentViolationError, InvalidParameterError
@@ -317,6 +316,7 @@ def _chi2_against_poisson(counts: np.ndarray, lam: float) -> tuple[float, float]
         return 0.0, 1.0
     # Pearson's statistic and its chi-square(cells - 1) upper tail: the float
     # operations of scipy.stats.chisquare, without importing scipy.stats.
+    from scipy.special import chdtrc  # only here: no trial needs scipy
     o, e = np.array(pooled_obs), np.array(pooled_exp)
     chi2 = ((o - e) ** 2 / e).sum()
     return float(chi2), float(chdtrc(len(e) - 1, chi2))

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 from .errors import DegenerateRegimeError, InfeasibleCouplingError, InvalidParameterError
 from .graph import GraphTopology, intersect_graphs, keys_seen_at_least
@@ -369,6 +368,7 @@ def poissonization_summary(n: int, P: int, x: float, d: int) -> PoissonizationSu
     lam = mean_y - mean_y ** (5.0 / 6.0)
     mu = lam / (n * (n - 1) / 2.0)
     # upper Poisson tail P[Z >= d] via the regularized lower incomplete gamma
+    from scipy.special import gammainc  # only here: no trial needs scipy
     rho = float(gammainc(d, mu))
     return PoissonizationSummary(edge_prob=rho, mu=mu, lam=lam,
                                  mean_y=mean_y, mean_w=mean_w)

@@ -339,11 +339,30 @@ def test_rational_past_the_int_string_limit_is_not_printed():
     assert cli._fmt_rational(Fraction(11, 60)) == "11/60"
 
 
-def test_cli_import_leaves_heavy_modules_unloaded():
-    # Start-up time is almost all imports: numpy, scipy.sparse.csgraph and
-    # scipy.special are needed; these modules are not, and each adds time.
-    heavy = ("scipy.stats", "scipy.optimize", "networkx", "hypothesis")
-    code = f"import sys, iglab.cli; print([m for m in {heavy!r} if m in sys.modules])"
+# Start-up time is almost all imports, and a simulate or sweep run needs
+# numpy and the top-level scipy package (for its version) only. These
+# modules would each add time: scipy.special serves just the Poissonization
+# tail and the verify-degree chi-square, which import it where they run.
+HEAVY_MODULES = ("scipy.sparse", "scipy.special", "scipy.linalg", "scipy.stats",
+                 "scipy.optimize", "networkx", "hypothesis")
+
+
+def loaded_heavy_modules(code):
+    """Heavy modules loaded after running `code` in a fresh interpreter."""
+    code += f"\nimport sys; print([m for m in {HEAVY_MODULES!r} if m in sys.modules])"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    assert loaded_heavy_modules("import iglab.cli") == "[]"
+
+
+def test_simulate_and_sweep_runs_leave_heavy_modules_unloaded(tmp_path):
+    # the modules are not deferred into the trials: whole runs never load them
+    runs = [[*map(str, SMALL_RUNS[c]), "--workers", "1", "--out", str(tmp_path / f"{c}.csv")]
+            for c in ("simulate", "sweep")]
+    code = f"from iglab.cli import main\nfor argv in {runs!r}:\n    assert main(argv) == 0"
+    assert loaded_heavy_modules(code) == "[]"
+    assert all((tmp_path / f"{c}.csv").exists() for c in ("simulate", "sweep"))

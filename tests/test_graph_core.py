@@ -1,14 +1,22 @@
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iglab.errors import InvalidParameterError
-from iglab.generators import gen_object_rings_uniform, graph_from_rings, trial_rng
+from iglab.generators import (
+    gen_er,
+    gen_model_graph,
+    gen_object_rings_uniform,
+    graph_from_rings,
+    trial_rng,
+)
 from iglab.graph import (
     GraphTopology,
+    component_labels,
     connected_components,
     degree_histogram,
     dump_edge_list,
@@ -17,6 +25,7 @@ from iglab.graph import (
     load_edge_list,
     min_degree,
 )
+from iglab.theory import ModelParams
 
 
 def complete(n):
@@ -202,3 +211,68 @@ def test_degree_accounting(a):
     assert sum(hist.values()) == n
     assert sum(h * c for h, c in hist.items()) == 2 * len(g.edges)
     assert min_degree(g) <= 2 * len(g.edges) / n
+
+
+# -- components against networkx and scipy.sparse.csgraph -------------------
+
+def assert_components_match_references(g):
+    nx = pytest.importorskip("networkx")
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components as csgraph_components
+
+    count, labels = component_labels(g)
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from(g.pairs.tolist())
+    assert connected_components(g) == sorted(nx.connected_components(ref), key=min)
+    adj = csr_array((np.ones(g.indices.size, dtype=np.int8), g.indices, g.indptr),
+                    shape=(g.n, g.n))
+    ref_count, ref_labels = csgraph_components(adj, directed=False)
+    assert count == ref_count and labels.tolist() == ref_labels.tolist()
+
+
+# Up to n edges on n nodes: many components, isolated nodes, n = 0 and 1.
+sparse_graphs = st.integers(0, 40).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 2)).map(
+            lambda e: (e[0], e[1] + (e[1] >= e[0]))), max_size=n) if n > 1 else st.just([]),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)  # the first call imports the references
+@given(sparse_graphs)
+@example((0, []))
+@example((1, []))
+def test_components_match_references_on_sparse_graphs(a):
+    assert_components_match_references(GraphTopology(*a))
+
+
+def test_components_match_references_on_model_and_er_graphs():
+    for seed in range(6):
+        rng = trial_rng(31, seed)
+        for g_prob in (0.3, 0.6, 1.0):
+            params = ModelParams(n=300, K=20, P=2000, d=2, f=1.0, g=g_prob)
+            assert_components_match_references(gen_model_graph(params, rng))
+        for c in (0.5, 1.0, 3.0):
+            assert_components_match_references(gen_er(400, c * np.log(400) / 400, rng))
+
+
+@pytest.mark.parametrize("shape", ["path", "star"])
+def test_components_of_large_shuffled_path_and_star_are_fast(shape):
+    # Rounds of plain label propagation grow with the diameter: on a 2-CPU
+    # host this path took it 3 s, against 4-6 ms for hooking with pointer
+    # jumps, so the bound is generous for the one and fails the other even
+    # on a host a few times faster.
+    n = 20_000
+    order = np.random.default_rng(3).permutation(n)
+    if shape == "path":
+        ends = np.stack((order[:-1], order[1:]), axis=1)
+    else:
+        ends = np.stack((np.full(n - 1, order[0]), order[1:]), axis=1)
+    g = GraphTopology(n, ends)
+    start = time.perf_counter()
+    count, labels = component_labels(g)
+    assert time.perf_counter() - start < 0.5
+    assert count == 1 and not labels.any()
