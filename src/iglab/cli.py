@@ -274,8 +274,10 @@ def cmd_verify(args) -> int:
         report = degree_law_test(params, args.trials, base_seed=args.seed)
         print("degree-law test (Poisson law of degree-h node counts)")
         for e in report.entries:
+            chi2 = ("no test (fewer than two cells expect >= 5)" if math.isnan(e.p_value)
+                    else f"chi2={_fmt(e.chi2)} p={_fmt(e.p_value)}")
             print(f"  h={e.h}: lambda={_fmt(e.lam)} mean={_fmt(e.mean_count)} "
-                  f"TV={_fmt(e.tv_distance)} chi2={_fmt(e.chi2)} p={_fmt(e.p_value)}")
+                  f"TV={_fmt(e.tv_distance)} {chi2}")
         for w in report.regime_warnings:
             print(f"  regime warning: {w.name}: {w.description}")
         payload = {"entries": [asdict(e) for e in report.entries]}

@@ -2,10 +2,15 @@
 
 A graph survives any m node failures iff it is (m+1)-connected, so the
 universal quantifier over failure sets is decided exactly via vertex
-connectivity (Menger) rather than by sampling. Fast paths: k=1 by
-components, k=2 by articulation-point search; k >= 3 by Even's test on a
-maximum-adjacency order, whose checks run early-exit augmenting-path
-searches over the graph's own CSR adjacency, node-split only implicitly.
+connectivity (Menger) rather than by sampling. After the n > k and
+minimum-degree filters: k=1 by components; k=2 by one articulation-point
+search, which also fails when it misses a node; k >= 3 by Even's test, which
+is exact for any node order. The order starts at a greedily grown
+(k+1)-clique and is placed in rounds: each round takes every node that
+already has k placed neighbours, and only a stall runs an early-exit
+augmenting-path search over the graph's own CSR adjacency, node-split only
+implicitly. A disconnected graph fails a check, so k >= 2 needs no
+components pass.
 """
 
 from __future__ import annotations
@@ -65,8 +70,9 @@ def _adjacency(g: GraphTopology) -> list[list[int]]:
 
 # -- articulation points (k=2 fast path) -----------------------------------
 
-def _has_articulation_point(adj: list[list[int]]) -> bool:
-    """Iterative Hopcroft-Tarjan cut-vertex search; assumes a connected graph."""
+def _is_biconnected(adj: list[list[int]]) -> bool:
+    """Iterative Hopcroft-Tarjan cut-vertex search from node 0: True iff it
+    reaches every node and finds no cut vertex."""
     n = len(adj)
     disc = [-1] * n
     low = [0] * n
@@ -99,26 +105,11 @@ def _has_articulation_point(adj: list[list[int]]) -> bool:
                 if low[u] < low[pu]:
                     low[pu] = low[u]
                 if pu != root and low[u] >= disc[pu]:
-                    return True
-    return root_children > 1
+                    return False
+    return root_children == 1 and timer == n
 
 
-# -- k >= 3: Even's test on a maximum-adjacency order ------------------------
-
-def _max_adjacency_order(g: GraphTopology) -> tuple[list[int], list[int]]:
-    """From node 0, repeatedly take the unvisited node with the most visited
-    neighbours (lowest id on ties); return the order and each node's count."""
-    n = g.n
-    visited_nbrs = np.zeros(n, dtype=np.int64)
-    order, earlier = [], []
-    for _ in range(n):
-        v = int(visited_nbrs.argmax())
-        order.append(v)
-        earlier.append(int(visited_nbrs[v]))
-        visited_nbrs[g.indices[g.indptr[v]:g.indptr[v + 1]]] += 1
-        visited_nbrs[v] = -n  # below any unvisited count for good
-    return order, earlier
-
+# -- k >= 3: Even's test, placing the nodes in rounds ----------------------
 
 def _has_k_paths(adj: list[list[int]], k: int, t: int, source: set[int]) -> bool:
     """True iff k paths from distinct nodes of `source` reach t, sharing
@@ -132,6 +123,9 @@ def _has_k_paths(adj: list[list[int]], k: int, t: int, source: set[int]) -> bool
     at the first u_in it reaches with u in source, and pushes one unit back
     along the path it found. The super-source still feeds that u_in: once a
     source starts a path, no residual arc leaves its u_in, so none reaches it.
+    A source u that carries no path is taken as soon as u_out is reached,
+    since u_out leads on only to u_in: any augmenting path will do, so this
+    finds the same number of paths without scanning the rest of the layer.
     """
     nxt: dict[int, int] = {}
     for _ in range(k):
@@ -156,7 +150,13 @@ def _has_k_paths(adj: list[list[int]], k: int, t: int, source: set[int]) -> bool
                 y = 2 * w + 1
                 if y not in par and nxt.get(w) != u:
                     par[y] = x
+                    if w in source and w not in nxt:  # w_out leads on only to w_in
+                        par[2 * w] = y
+                        found = 2 * w
+                        break
                     queue.append(y)
+            if found >= 0:
+                break
         if found < 0:
             return False
         x = found
@@ -171,40 +171,87 @@ def _has_k_paths(adj: list[list[int]], k: int, t: int, source: set[int]) -> bool
     return True
 
 
-def _even_k_connected(adj: list[list[int]], k: int, order: list[int],
-                      earlier: list[int]) -> bool:
+def _greedy_clique(adj: list[list[int]], k: int, a: int) -> list[int]:
+    """A clique of at most k + 1 nodes grown from a, without backtracking.
+
+    Each step adds the candidate with the most neighbours among the other
+    candidates (lowest id on ties), then keeps only its neighbours, so the
+    work is at most k passes that intersect each of a's neighbours' lists
+    with the candidates."""
+    members, candidates = [a], set(adj[a])
+    while len(members) <= k and candidates:
+        v = max(candidates, key=lambda u: (len(candidates.intersection(adj[u])), -u))
+        members.append(v)
+        candidates.intersection_update(adj[v])
+    return members
+
+
+def _even_k_connected(g: GraphTopology, adj: list[list[int]], k: int) -> bool:
     """Even's test (SIAM J. Comput. 4:393, 1975); needs n > k.
 
-    For an order v_1..v_n, the graph is k-connected iff each non-adjacent
+    For any order v_1..v_n, the graph is k-connected iff each non-adjacent
     pair among v_1..v_k has k internally disjoint paths, and each later v_j
-    has k paths from distinct v_1..v_{j-1}, disjoint but for v_j. k earlier
-    neighbours are k paths of length one, and a maximum-adjacency order gives
-    most nodes k of them, so few searches run. Non-adjacent a and b have k
-    internally disjoint paths iff k paths from distinct neighbours of a reach
-    b; G - a is not needed, since a path through a can start after it.
+    has k paths from distinct v_1..v_{j-1}, disjoint but for v_j. Non-adjacent
+    a and b have k internally disjoint paths iff k paths from distinct
+    neighbours of a reach b; G - a is not needed, since a path through a can
+    start after it. A node with k earlier neighbours has k paths of length
+    one, so the order is built to give most nodes that many:
+    - it starts with a clique grown greedily from a highest-degree node, so
+      its first k nodes are pairwise adjacent when the clique reaches k + 1
+      nodes; otherwise it is topped up to k nodes as a stall would be;
+    - each round then places, in one numpy step, every unplaced node that
+      already has k placed neighbours; none of them needs a search;
+    - when none has, it stalls: the unplaced node with the most placed
+      neighbours (lowest id on ties) is placed after a search from the placed
+      set. A node outside the placed nodes' component fails that search, so
+      disconnected graphs need no separate pass.
     """
-    for a, b in combinations(order[:k], 2):
+    n, indptr, indices = g.n, g.indptr, g.indices
+    degrees = np.diff(indptr)
+    placed_nbrs = np.zeros(n, dtype=np.int64)
+    placed: set[int] = set()
+
+    def place(nodes) -> None:
+        nodes = np.asarray(nodes)
+        placed.update(nodes.tolist())
+        lens = degrees[nodes]
+        ends = lens.cumsum()
+        at = np.repeat(indptr[nodes] - ends + lens, lens) + np.arange(ends[-1])
+        np.add.at(placed_nbrs, indices[at], 1)
+        placed_nbrs[nodes] = -n  # below any unplaced count for good
+
+    first = _greedy_clique(adj, k, int(degrees.argmax()))
+    place(first)
+    while len(first) < k:
+        first.append(int(placed_nbrs.argmax()))
+        place(first[-1:])
+    for a, b in combinations(first[:k], 2):
         near_a = set(adj[a])
         if b not in near_a and not _has_k_paths(adj, k, b, near_a):
             return False
-    source = set(order[:k])
-    for v, count in zip(order[k:], earlier[k:]):
-        if count < k and not _has_k_paths(adj, k, v, source):
-            return False
-        source.add(v)
+    while len(placed) < n:
+        ready = np.flatnonzero(placed_nbrs >= k)
+        if not ready.size:
+            v = int(placed_nbrs.argmax())
+            if not _has_k_paths(adj, k, v, placed):
+                return False
+            ready = [v]
+        place(ready)
     return True
+
+
+def _k_connected(g: GraphTopology, adj: list[list[int]], k: int) -> bool:
+    """is_k_connected for k >= 2, once n > k and the minimum degree is at least k."""
+    return _is_biconnected(adj) if k == 2 else _even_k_connected(g, adj, k)
 
 
 def vertex_connectivity(g: GraphTopology) -> int:
     """Exact vertex connectivity kappa; 0 for disconnected or single-node."""
-    kappa = 0
-    while kappa < 2 and is_k_connected(g, kappa + 1):
+    if not is_k_connected(g, 1):
+        return 0
+    kappa, delta, adj = 1, min_degree(g), _adjacency(g)  # one adjacency serves every k
+    while g.n > kappa + 1 and delta > kappa and _k_connected(g, adj, kappa + 1):
         kappa += 1
-    if kappa == 2:  # one adjacency and one order serve every k
-        adj, (order, earlier) = _adjacency(g), _max_adjacency_order(g)
-        while (g.n > kappa + 1 and min_degree(g) > kappa
-               and _even_k_connected(adj, kappa + 1, order, earlier)):
-            kappa += 1
     return kappa
 
 
@@ -213,16 +260,11 @@ def is_k_connected(g: GraphTopology, k: int) -> bool:
     k-1 nodes (equivalently kappa >= k)."""
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
-    n = g.n
-    if n < k + 1:
-        return False
-    if min_degree(g) < k or not is_connected(g):
+    if g.n < k + 1 or min_degree(g) < k:
         return False
     if k == 1:
-        return True
-    if k == 2:
-        return not _has_articulation_point(_adjacency(g))
-    return _even_k_connected(_adjacency(g), k, *_max_adjacency_order(g))
+        return is_connected(g)
+    return _k_connected(g, _adjacency(g), k)
 
 
 def survives_node_failures(g: GraphTopology, m: int) -> bool:

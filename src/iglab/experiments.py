@@ -293,7 +293,8 @@ def _tv_against_poisson(counts: np.ndarray, lam: float) -> float:
 
 
 def _chi2_against_poisson(counts: np.ndarray, lam: float) -> tuple[float, float]:
-    """Chi-square GOF with cells pooled so every expected count is >= 5."""
+    """Chi-square GOF with cells pooled so every expected count is >= 5.
+    (nan, nan) when fewer than two pooled cells remain: then there is no test."""
     trials = len(counts)
     hi = int(max(counts.max(initial=0), math.ceil(lam) + 1))
     obs = np.bincount(counts, minlength=hi + 2).astype(float)
@@ -313,7 +314,7 @@ def _chi2_against_poisson(counts: np.ndarray, lam: float) -> tuple[float, float]
         pooled_obs[-1] += acc_o
         pooled_exp[-1] += acc_e
     if len(pooled_exp) < 2:
-        return 0.0, 1.0
+        return math.nan, math.nan
     # Pearson's statistic and its chi-square(cells - 1) upper tail: the float
     # operations of scipy.stats.chisquare, without importing scipy.stats.
     from scipy.special import chdtrc  # only here: no trial needs scipy

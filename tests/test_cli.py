@@ -311,6 +311,16 @@ def test_verify_degree_and_dominance(capsys):
     assert "holds = True" in out
 
 
+def test_verify_degree_says_when_there_is_no_chi_square_test(capsys):
+    # every lambda is below 1e-7, so no two pooled cells expect a count of 5
+    assert run_cli("verify", "degree", "-n", 60, "-K", 3, "-P", 15, "-d", 1,
+                   "--trials", 50) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if "h=" in line]
+    assert len(lines) == 4
+    for line in lines:
+        assert "no test" in line and "chi2=" not in line and "p=" not in line
+
+
 def test_dump_graph_stdout_and_file(tmp_path, capsys):
     assert run_cli("dump-graph", "-n", 8, "-K", 3, "-P", 6, "-d", 1,
                    "--seed", 5) == 0

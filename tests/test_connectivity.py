@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations, islice
 
 import numpy as np
@@ -41,6 +42,24 @@ def star(n):
 
 def path(n):
     return GraphTopology(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def disjoint(a, b):
+    return GraphTopology(a.n + b.n, [*a.edges, *((x + a.n, y + a.n) for x, y in b.edges)])
+
+
+def petersen():
+    return GraphTopology(10, [(i, (i + 1) % 5) for i in range(5)]
+                         + [(i, i + 5) for i in range(5)]
+                         + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def cube():
+    return GraphTopology(8, [(i, i ^ b) for i in range(8) for b in (1, 2, 4) if i < i ^ b])
+
+
+def complete_bipartite(a, b):
+    return GraphTopology(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def random_small_graphs(count, seed, n_lo=2, n_hi=10):
@@ -186,19 +205,52 @@ def test_min_degree_at_least():
                 assert min_degree_at_least(g, k)
 
 
-def test_vertex_connectivity_orders_the_nodes_once(monkeypatch):
+def test_vertex_connectivity_builds_the_adjacency_once(monkeypatch):
     calls = []
-    order = connectivity._max_adjacency_order
+    adjacency = connectivity._adjacency
 
     def counted(g):
         calls.append(g.n)
-        return order(g)
+        return adjacency(g)
 
-    monkeypatch.setattr(connectivity, "_max_adjacency_order", counted)
+    monkeypatch.setattr(connectivity, "_adjacency", counted)
     square_of_cycle = GraphTopology(12, [(i, (i + s) % 12) for i in range(12) for s in (1, 2)])
     assert vertex_connectivity(square_of_cycle) == 4
     assert vertex_connectivity(complete(7)) == 6
     assert calls == [12, 7]
+
+
+@pytest.mark.parametrize("k, g", [(2, disjoint(cycle(5), cycle(6))),
+                                  (3, disjoint(complete(5), complete(5))),
+                                  (4, disjoint(complete(6), complete(6)))])
+def test_disconnected_graph_that_passes_the_min_degree_filter(k, g):
+    # no components pass runs for k >= 2: the decider itself must fail it
+    assert min_degree(g) >= k
+    assert not is_k_connected(g, k)
+    assert not brute_force_k_connected(g, k)
+    assert vertex_connectivity(g) == 0
+
+
+@pytest.mark.parametrize("g, kappa", [(petersen(), 3), (cube(), 3),
+                                      (complete_bipartite(4, 4), 4)])
+def test_k_connected_graphs_without_a_k_plus_one_clique(g, kappa):
+    # triangle-free, so Even's test starts from an edge and pair searches
+    assert vertex_connectivity(g) == kappa
+    for k in range(1, g.n + 1):
+        assert is_k_connected(g, k) == brute_force_k_connected(g, k) == (k <= kappa)
+
+
+def test_clique_search_is_bounded_on_a_dense_graph_without_one():
+    # the complete 5-partite graph on 5 x 40 nodes has kappa = 160 and no K6,
+    # so a clique search that backtracks would try some of its 40^5 K5s
+    part = np.arange(200) // 40
+    i, j = np.triu_indices(200, 1)
+    cross = part[i] != part[j]
+    g = GraphTopology(200, np.stack((i[cross], j[cross]), axis=1))
+    assert g.edge_count() == 16_000
+    start = time.perf_counter()
+    assert is_k_connected(g, 5)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_assess_resilience():
@@ -229,8 +281,7 @@ def _assert_matches_networkx(g):
 
 def _glued(a, b, width):
     """a and b side by side, joined by `width` disjoint edges (i, a.n + i)."""
-    edges = [*a.edges, *((x + a.n, y + a.n) for x, y in b.edges)]
-    return GraphTopology(a.n + b.n, edges + [(i, a.n + i) for i in range(width)])
+    return GraphTopology(a.n + b.n, [*disjoint(a, b).edges, *((i, a.n + i) for i in range(width))])
 
 
 def test_connectivity_matches_networkx_on_model_and_er_graphs():

@@ -211,8 +211,9 @@ def test_degree_law_report_smoke():
     assert len(report.entries) == 2
     for entry in report.entries:
         assert 0.0 <= entry.tv_distance <= 1.0
-        assert 0.0 <= entry.p_value <= 1.0
         assert entry.lam >= 0.0
+        # lambda is below 1e-20 here, so no two cells expect 5: no chi-square
+        assert math.isnan(entry.chi2) and math.isnan(entry.p_value)
     # dense regime: isolated nodes should be rare in both law and data
     iso = report.entries[0]
     assert iso.mean_count <= iso.lam + 5 * math.sqrt(iso.lam + 1) + 1
@@ -249,7 +250,7 @@ def test_chi2_against_poisson_matches_scipy_chisquare():
         obs, exp = _pooled_cells(counts, lam)
         chi2, p = experiments._chi2_against_poisson(counts, lam)
         if len(exp) < 2:
-            assert (chi2, p) == (0.0, 1.0)
+            assert math.isnan(chi2) and math.isnan(p)
             continue
         ref = stats.chisquare(obs, exp)
         assert chi2 == pytest.approx(float(ref.statistic), rel=1e-12, abs=0)
