@@ -7,6 +7,7 @@ invariant violation (e.g. coupling containment failure).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -390,9 +391,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one iglab command; may be called repeatedly in one process.
+
+    The parser is built once per process, on the first call. The
+    subcommand functions are bound into it at build time, so patching
+    ``cli.cmd_*`` after the first call does not reach ``main``.
+    """
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ContainmentViolationError as exc:

@@ -41,8 +41,13 @@ def trial_rng(base_seed: int, *path: int) -> np.random.Generator:
     """Counter-based (Philox) stream keyed by (base_seed, path).
 
     Distinct paths give statistically independent streams, so concurrent
-    trials never share state.
+    trials never share state. A negative seed or path element raises
+    InvalidParameterError.
     """
+    if base_seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {base_seed}")
+    if any(p < 0 for p in path):
+        raise InvalidParameterError(f"stream path elements must be >= 0, got {path}")
     ss = np.random.SeedSequence(entropy=base_seed, spawn_key=tuple(path))
     return np.random.Generator(np.random.Philox(ss))
 

@@ -125,12 +125,13 @@ def approx_edge_prob_overlap(K: int, P: int, d: int) -> float:
     """Asymptotic overlap probability (1/d!) * (K^2/P)^d, clamped to [0,1].
 
     Accurate only when K is large and K^2/P is small; at moderate K^2/P the
-    relative error can exceed 10%.
+    relative error can exceed 10%. Evaluated in log space, so neither
+    (K^2/P)^d nor d! can overflow.
     """
     if K < 1 or P < 1 or d < 1:
         raise InvalidParameterError("K, P, d must all be >= 1")
-    val = (K * K / P) ** d / math.factorial(d)
-    return min(1.0, val)
+    log_val = d * math.log(K * K / P) - math.lgamma(d + 1)
+    return 1.0 if log_val >= 0 else math.exp(log_val)
 
 
 def alpha_from_params(params: ModelParams, m: int) -> float:
@@ -145,16 +146,19 @@ def alpha_from_params(params: ModelParams, m: int) -> float:
 
 def predicted_limit_prob(alpha: float, m: int) -> float:
     """Limit probability exp(-exp(-alpha)/m!) of staying connected after any
-    m node failures; 1 at alpha=+inf and 0 at alpha=-inf."""
+    m node failures; 1 at alpha=+inf and 0 at alpha=-inf.
+
+    exp(-alpha)/m! is taken in log space (lgamma(m+1) = ln m!), so any m is
+    accepted; where it overflows a float the limit is 0.
+    """
     if m < 0:
         raise InvalidParameterError(f"failure budget m must be >= 0, got {m}")
     if math.isnan(alpha):
         raise InvalidParameterError("alpha must not be NaN")
-    if alpha == math.inf:
-        return 1.0
-    if alpha == -math.inf:
+    try:  # alpha = +-inf needs no branch: exp(-inf) = 0, exp(inf) = inf
+        return math.exp(-math.exp(-alpha - math.lgamma(m + 1)))
+    except OverflowError:
         return 0.0
-    return math.exp(-math.exp(-alpha) / math.factorial(m))
 
 
 def er_kconn_limit(alpha: float, k: int) -> float:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -40,6 +41,15 @@ def test_edge_prob_respects_thinning(capsys):
     assert f"{t:.9g}" in out
 
 
+@pytest.mark.parametrize("argv, shown", [
+    (("-K", 300, "-P", 400, "-d", 200), "s approx   = 1 "),  # (K^2/P)^d overflows
+    (("-K", 200, "-P", 100000, "-d", 180), "s approx   = 0 "),  # d! overflows
+])
+def test_edge_prob_approximation_does_not_overflow(capsys, argv, shown):
+    assert run_cli("edge-prob", *argv) == 0
+    assert shown in capsys.readouterr().out
+
+
 def test_validation_exit_code(capsys):
     assert run_cli("edge-prob", "-K", 11, "-P", 10, "-d", 2) == 2
     assert "error" in capsys.readouterr().err
@@ -60,6 +70,16 @@ def test_predict_output(capsys):
     alpha = alpha_from_params(params, 0)
     assert f"{alpha:.9g}" in out
     assert f"{predicted_limit_prob(alpha, 0):.9g}" in out
+
+
+def test_predict_and_simulate_take_a_failure_budget_past_170(tmp_path, capsys):
+    # m! overflows a float from m = 171 on; the limit is 1 at these alphas
+    assert run_cli("predict", "-n", 10, "-K", 3, "-P", 15, "-d", 1, "-m", 500) == 0
+    assert "predicted limit = 1\n" in capsys.readouterr().out
+    out = tmp_path / "run.csv"
+    assert run_cli("simulate", "-n", 10, "-K", 3, "-P", 15, "-d", 1, "--trials", 2,
+                   "-m", 200, "--workers", 1, "--out", out) == 0
+    assert _read_csv(out)[0]["predicted_limit"] == "1"
 
 
 def test_critical_output_matches_solver(capsys):
@@ -146,6 +166,27 @@ def test_workers_below_one_is_a_validation_error(tmp_path, capsys, command, work
     out = tmp_path / "run.csv"
     assert run_cli(*SMALL_RUNS[command], "--workers", workers, "--out", out) == 2
     assert "workers must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+NEGATIVE_SEED_RUNS = {
+    "simulate": ("simulate", "-n", 10, "-K", 3, "-P", 15, "-d", 1, "--trials", 2,
+                 "--seed", -1),
+    "sweep": ("sweep", "-n", 10, "-K", 3, "-P", 15, "-d", 1, "--trials", 2,
+              "--axis", "g", "--values", "0.5,1.0", "--seed", -1),
+    "verify": ("verify", "degree", "-n", 10, "-K", 3, "-P", 15, "-d", 1, "--seed", -1),
+    "dump-graph": ("dump-graph", "-n", 10, "-K", 3, "-P", 15, "-d", 1, "--seed", -3),
+}
+
+
+@pytest.mark.parametrize("command", list(NEGATIVE_SEED_RUNS))
+def test_negative_seed_is_a_validation_error(tmp_path, capsys, command):
+    out = tmp_path / "run.csv"
+    argv = NEGATIVE_SEED_RUNS[command]
+    if command != "verify":
+        argv += ("--out", out)
+    assert run_cli(*argv) == 2
+    assert "error: seed must be >= 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -330,6 +371,67 @@ def test_dump_graph_stdout_and_file(tmp_path, capsys):
     assert run_cli("dump-graph", "-n", 8, "-K", 3, "-P", 6, "-d", 1,
                    "--seed", 5, "--out", path) == 0
     assert path.read_text() == out
+
+
+def test_second_call_builds_no_parser(monkeypatch, capsys):
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    cli.build_parser()
+    assert calls  # the count sees a parser being built
+    assert run_cli("edge-prob", "-K", 3, "-P", 10, "-d", 2) == 0
+    calls.clear()
+    assert run_cli("edge-prob", "-K", 3, "-P", 10, "-d", 2) == 0
+    assert calls == []
+
+
+def test_calls_share_no_parser_state(tmp_path, capsys):
+    base = ("simulate", "-n", 30, "-K", 3, "-P", 12, "-d", 1, "--trials", 2)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*base)  # no --out: argparse rejects it
+    assert exc.value.code == 2
+    # values a parser that kept state would carry into the next call
+    assert run_cli(*base, "-g", 0.5, "--seed", 7, "--workers", 1,
+                   "--out", tmp_path / "first.csv") == 0
+    later, fresh = tmp_path / "later.csv", tmp_path / "fresh.csv"
+    assert run_cli(*base, "--out", later) == 0
+    proc = subprocess.run([sys.executable, "-m", "iglab.cli",
+                           *map(str, (*base, "--out", fresh))],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert later.read_bytes() == fresh.read_bytes()
+
+    def workers(csv_path):
+        manifest = csv_path.with_suffix(".csv.manifest.json")
+        return json.loads(manifest.read_text())["config"]["workers"]
+    assert workers(later) == workers(fresh)
+
+
+def test_help_text_does_not_change_between_calls():
+    # in a fresh interpreter, so that the first call is the one that builds
+    code = """
+import contextlib, io
+from iglab.cli import main
+for argv in (["--help"], ["simulate", "--help"]):
+    texts = []
+    for _ in range(2):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            try:
+                main(argv)
+            except SystemExit as exc:
+                assert exc.code == 0, exc.code
+        texts.append(buf.getvalue())
+    assert texts[0].startswith("usage: iglab"), texts[0]
+    assert texts[0] == texts[1], texts
+"""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_console_script_entry_point():

@@ -46,6 +46,12 @@ def test_trial_rng_deterministic_and_disjoint():
     assert (a != c).any()
 
 
+@pytest.mark.parametrize("seed, path", [(-1, ()), (0, (3, -2))])
+def test_trial_rng_rejects_negative_seed_or_path(seed, path):
+    with pytest.raises(InvalidParameterError, match="must be >= 0"):
+        trial_rng(seed, *path)
+
+
 # -- uniform rings -----------------------------------------------------------
 
 def test_uniform_rings_sizes_and_full_pool():

@@ -220,6 +220,16 @@ def test_predicted_limit_examples():
     assert predicted_limit_prob(0.0, 2) == pytest.approx(math.exp(-0.5))
 
 
+def test_predicted_limit_for_any_failure_budget():
+    # m! overflows a float from m = 171 on
+    assert predicted_limit_prob(0.0, 500) == 1.0
+    assert predicted_limit_prob(-1000.0, 0) == 0.0  # exp(-alpha) overflows
+    # lgamma(1) = lgamma(2) = 0, so m = 0 and 1 keep the direct form's bits
+    for alpha in (-3.7, -0.2, 0.0, 1.1, 6.5):
+        for m in (0, 1):
+            assert predicted_limit_prob(alpha, m) == math.exp(-math.exp(-alpha))
+
+
 def test_predicted_limit_strictly_increasing():
     alphas = [-5, -1, 0, 1, 5]
     vals = [predicted_limit_prob(a, 1) for a in alphas]
