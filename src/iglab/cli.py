@@ -16,6 +16,7 @@ import platform
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -108,7 +109,8 @@ def cmd_edge_prob(args) -> int:
     approx = approx_edge_prob_overlap(args.K, args.P, args.d)
     s_f = float(s)
     t = p * s_f
-    rel = abs(approx - s_f) / s_f if s_f > 0 else math.inf
+    # from the rational: s > 0 (d <= K), but s_f underflows to 0 at large d
+    rel = float(abs(Fraction(approx) - s) / s)
     print(f"s exact    = {_fmt_rational(s)}")
     print(f"s float    = {_fmt(s_f)}")
     print(f"t = f*g*s  = {_fmt(t)}")
@@ -144,20 +146,23 @@ def cmd_critical(args) -> int:
 
 def _parse_config_file(path: Path) -> dict:
     """Flat key=value format with an optional [sweep] section holding
-    axis=<name> and values=<comma list>."""
+    axis=<name> and values=<comma list>. Any other key is refused."""
     cfg: dict = {}
     sweep: dict = {}
-    target = cfg
+    target, known = cfg, ("n", "K", "P", "d", "f", "g", "m", "trials", "seed")
     for lineno, raw in enumerate(path.read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line == "[sweep]":
-            target = sweep
+            target, known = sweep, ("axis", "values")
             continue
         if "=" not in line:
             raise InvalidParameterError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
+        if key not in known:
+            raise InvalidParameterError(
+                f"{path}:{lineno}: unknown key {key!r}; expected one of {', '.join(known)}")
         target[key] = val
     if sweep:
         cfg["sweep_axis"] = sweep.get("axis")

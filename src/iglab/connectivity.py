@@ -3,14 +3,13 @@
 A graph survives any m node failures iff it is (m+1)-connected, so the
 universal quantifier over failure sets is decided exactly via vertex
 connectivity (Menger) rather than by sampling. After the n > k and
-minimum-degree filters: k=1 by components; k=2 by one articulation-point
-search, which also fails when it misses a node; k >= 3 by Even's test, which
-is exact for any node order. The order starts at a greedily grown
-(k+1)-clique and is placed in rounds: each round takes every node that
-already has k placed neighbours, and only a stall runs an early-exit
-augmenting-path search over the graph's own CSR adjacency, node-split only
-implicitly. A disconnected graph fails a check, so k >= 2 needs no
-components pass.
+minimum-degree filters, k = 1 is decided by components and every k >= 2 by
+Even's test, which is exact for any node order. The order starts at a
+greedily grown (k+1)-clique and is placed in rounds: each round takes every
+node that already has k placed neighbours, and only a stall runs an
+early-exit augmenting-path search over the graph's own CSR adjacency,
+node-split only implicitly. A disconnected graph fails a check, so k >= 2
+needs no components pass.
 """
 
 from __future__ import annotations
@@ -68,48 +67,7 @@ def _adjacency(g: GraphTopology) -> list[list[int]]:
     return [indices[indptr[u]:indptr[u + 1]] for u in range(g.n)]
 
 
-# -- articulation points (k=2 fast path) -----------------------------------
-
-def _is_biconnected(adj: list[list[int]]) -> bool:
-    """Iterative Hopcroft-Tarjan cut-vertex search from node 0: True iff it
-    reaches every node and finds no cut vertex."""
-    n = len(adj)
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    timer = 0
-    root = 0
-    root_children = 0
-    stack = [(root, iter(adj[root]))]
-    disc[root] = low[root] = timer
-    timer += 1
-    while stack:
-        u, it = stack[-1]
-        advanced = False
-        for v in it:
-            if disc[v] == -1:
-                parent[v] = u
-                disc[v] = low[v] = timer
-                timer += 1
-                if u == root:
-                    root_children += 1
-                stack.append((v, iter(adj[v])))
-                advanced = True
-                break
-            elif v != parent[u] and disc[v] < low[u]:
-                low[u] = disc[v]
-        if not advanced:
-            stack.pop()
-            pu = parent[u]
-            if pu != -1:
-                if low[u] < low[pu]:
-                    low[pu] = low[u]
-                if pu != root and low[u] >= disc[pu]:
-                    return False
-    return root_children == 1 and timer == n
-
-
-# -- k >= 3: Even's test, placing the nodes in rounds ----------------------
+# -- k >= 2: Even's test, placing the nodes in rounds ----------------------
 
 def _has_k_paths(adj: list[list[int]], k: int, t: int, source: set[int]) -> bool:
     """True iff k paths from distinct nodes of `source` reach t, sharing
@@ -187,7 +145,9 @@ def _greedy_clique(adj: list[list[int]], k: int, a: int) -> list[int]:
 
 
 def _even_k_connected(g: GraphTopology, adj: list[list[int]], k: int) -> bool:
-    """Even's test (SIAM J. Comput. 4:393, 1975); needs n > k.
+    """Even's test (SIAM J. Comput. 4:393, 1975), the decision for every
+    k >= 2 once n > k and the minimum degree is at least k; k = 1 is left to
+    components, which are cheaper.
 
     For any order v_1..v_n, the graph is k-connected iff each non-adjacent
     pair among v_1..v_k has k internally disjoint paths, and each later v_j
@@ -240,17 +200,12 @@ def _even_k_connected(g: GraphTopology, adj: list[list[int]], k: int) -> bool:
     return True
 
 
-def _k_connected(g: GraphTopology, adj: list[list[int]], k: int) -> bool:
-    """is_k_connected for k >= 2, once n > k and the minimum degree is at least k."""
-    return _is_biconnected(adj) if k == 2 else _even_k_connected(g, adj, k)
-
-
 def vertex_connectivity(g: GraphTopology) -> int:
     """Exact vertex connectivity kappa; 0 for disconnected or single-node."""
     if not is_k_connected(g, 1):
         return 0
     kappa, delta, adj = 1, min_degree(g), _adjacency(g)  # one adjacency serves every k
-    while g.n > kappa + 1 and delta > kappa and _k_connected(g, adj, kappa + 1):
+    while g.n > kappa + 1 and delta > kappa and _even_k_connected(g, adj, kappa + 1):
         kappa += 1
     return kappa
 
@@ -264,7 +219,7 @@ def is_k_connected(g: GraphTopology, k: int) -> bool:
         return False
     if k == 1:
         return is_connected(g)
-    return _k_connected(g, _adjacency(g), k)
+    return _even_k_connected(g, _adjacency(g), k)
 
 
 def survives_node_failures(g: GraphTopology, m: int) -> bool:

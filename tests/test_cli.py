@@ -47,7 +47,11 @@ def test_edge_prob_respects_thinning(capsys):
 ])
 def test_edge_prob_approximation_does_not_overflow(capsys, argv, shown):
     assert run_cli("edge-prob", *argv) == 0
-    assert shown in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert shown in out
+    # approx is exactly 1 or 0, so |approx - s| / s is 0 where s = 1 and 1 where
+    # approx = 0; s > 0 there, though as a float it underflows to 0
+    assert f"rel error  = {0 if shown.endswith('1 ') else 1}\n" in out
 
 
 def test_validation_exit_code(capsys):
@@ -267,6 +271,20 @@ def test_config_file_rejects_garbage(tmp_path, capsys):
     cfg.write_text("this is not key value\n")
     out = tmp_path / "x.csv"
     assert run_cli("simulate", "--config", cfg, "--out", out) == 2
+
+
+@pytest.mark.parametrize("command, text, line, key", [
+    ("simulate", "n=40\nK=3\nP=12\nd=1\nG=0.01\ntrials=2\n", 5, "G"),
+    ("sweep", "n=40\nK=3\nP=12\nd=1\ntrials=2\n[sweep]\naxis=g\nvalue=0.5\n", 8, "value"),
+], ids=["top-level", "sweep-section"])
+def test_config_file_rejects_unknown_key(command, text, line, key, tmp_path, capsys):
+    # a mistyped key used to be dropped, so G=0.01 ran at the default g = 1
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "x.csv"
+    assert run_cli(command, "--config", cfg, "--out", out) == 2
+    assert f"error: {cfg}:{line}: unknown key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("how", ["config", "sweep"])

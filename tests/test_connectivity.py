@@ -274,7 +274,7 @@ def _assert_matches_networkx(g):
     kappa = _networkx_kappa(g)
     label = f"n={g.n}, edges={len(g.edges)}, networkx kappa={kappa}"
     assert vertex_connectivity(g) == kappa, label
-    for k in (3, 4, 5):
+    for k in (2, 3, 4, 5):
         assert is_k_connected(g, k) == (kappa >= k), f"k={k}, {label}"
     return kappa
 
@@ -297,7 +297,7 @@ def test_connectivity_matches_networkx_on_model_and_er_graphs():
     assert min(kappas) < 3 and max(kappas) >= 4
 
 
-@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_connectivity_matches_networkx_on_glued_graphs(k):
     params = ModelParams(n=40, K=8, P=60, d=2, f=1.0, g=1.0)
     draws = (gen_model_graph(params, trial_rng(2026, k, j)) for j in range(60))
@@ -350,7 +350,7 @@ def _separated_parts(k, seed):
     return GraphTopology(23 + k, [(label[x], label[y]) for x, y in edges])
 
 
-@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_separator_family_matches_networkx(k):
     for seed in range(12):
         g = _separated_parts(k, seed)
