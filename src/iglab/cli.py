@@ -144,18 +144,27 @@ def cmd_critical(args) -> int:
     return EXIT_OK
 
 
+# The run fields of simulate and sweep as (name, type, default); a default
+# of None marks a required field. Each is a flag (-x for a one-letter name,
+# --name otherwise) and a config-file key.
+_RUN_FIELDS = (
+    ("n", int, None), ("K", int, None), ("P", int, None), ("d", int, None),
+    ("f", float, 1.0), ("g", float, 1.0), ("m", int, 0),
+    ("trials", int, None), ("seed", int, 0),
+)
+
+
 def _parse_config_file(path: Path) -> dict:
     """Flat key=value format with an optional [sweep] section holding
     axis=<name> and values=<comma list>. Any other key is refused."""
     cfg: dict = {}
-    sweep: dict = {}
-    target, known = cfg, ("n", "K", "P", "d", "f", "g", "m", "trials", "seed")
+    known = tuple(name for name, _, _ in _RUN_FIELDS)
     for lineno, raw in enumerate(path.read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line == "[sweep]":
-            target, known = sweep, ("axis", "values")
+            known = ("axis", "values")
             continue
         if "=" not in line:
             raise InvalidParameterError(f"{path}:{lineno}: expected key=value, got {raw!r}")
@@ -163,54 +172,40 @@ def _parse_config_file(path: Path) -> dict:
         if key not in known:
             raise InvalidParameterError(
                 f"{path}:{lineno}: unknown key {key!r}; expected one of {', '.join(known)}")
-        target[key] = val
-    if sweep:
-        cfg["sweep_axis"] = sweep.get("axis")
-        cfg["sweep_values"] = sweep.get("values")
+        cfg[key] = val
     return cfg
 
 
+def _parse(cast, name: str, text: str):
+    try:
+        return cast(text)
+    except ValueError:
+        raise InvalidParameterError(f"{name} must be {cast.__name__}, got {text!r}") from None
+
+
 def _resolve_run_config(args, want_sweep: bool) -> ExperimentConfig:
-    raw: dict = {}
-    if args.config:
-        raw = _parse_config_file(Path(args.config))
-    def parse(cast, name, text):
-        try:
-            return cast(text)
-        except ValueError:
-            raise InvalidParameterError(f"{name} must be {cast.__name__}, got {text!r}") from None
-    def pick(name, cast, default=None, required=False):
-        cli_val = getattr(args, name, None)
-        if cli_val is not None:
-            return cli_val
-        if name in raw:
-            return parse(cast, name, raw[name])
-        if required and default is None:
+    """Each run field from its flag, else the config file, else its default.
+    An unknown sweep axis is left to solve_critical, which refuses it before
+    any trial runs."""
+    raw = _parse_config_file(Path(args.config)) if args.config else {}
+    run = {}
+    for name, cast, default in _RUN_FIELDS:
+        value = getattr(args, name)
+        if value is None:
+            value = _parse(cast, name, raw[name]) if name in raw else default
+        if value is None:
             raise InvalidParameterError(f"missing required field {name!r}")
-        return default
-    params = ModelParams(
-        n=pick("n", int, required=True),
-        K=pick("K", int, required=True),
-        P=pick("P", int, required=True),
-        d=pick("d", int, required=True),
-        f=pick("f", float, 1.0),
-        g=pick("g", float, 1.0),
-    )
-    m = pick("m", int, 0)
-    trials = pick("trials", int, required=True)
-    seed = pick("seed", int, 0)
+        run[name] = value
+    m, trials, seed = run.pop("m"), run.pop("trials"), run.pop("seed")
     sweep = None
     if want_sweep:
-        axis = getattr(args, "axis", None) or raw.get("sweep_axis")
-        values_raw = getattr(args, "values", None) or raw.get("sweep_values")
-        if not axis or not values_raw:
+        axis = args.axis or raw.get("axis")
+        values = args.values or raw.get("values")
+        if not axis or not values:
             raise InvalidParameterError("sweep needs an axis and a value list")
-        if axis not in CRITICAL_AXES:
-            raise InvalidParameterError(f"sweep axis must be one of {CRITICAL_AXES}")
-        caster = int if axis in ("n", "K", "P", "m") else float
-        values = tuple(parse(caster, axis, v) for v in str(values_raw).split(","))
-        sweep = (axis, values)
-    return ExperimentConfig(params=params, m=m, trials=trials,
+        cast = int if axis in ("n", "K", "P", "m") else float
+        sweep = (axis, tuple(_parse(cast, axis, v) for v in values.split(",")))
+    return ExperimentConfig(params=ModelParams(**run), m=m, trials=trials,
                             base_seed=seed, sweep=sweep)
 
 
@@ -360,15 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, want_sweep in (("simulate", False), ("sweep", True)):
         p = sub.add_parser(name, help=f"run {name} experiment, emit CSV + manifest")
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("-n", type=int)
-        p.add_argument("-K", type=int)
-        p.add_argument("-P", type=int)
-        p.add_argument("-d", type=int)
-        p.add_argument("-f", type=float)
-        p.add_argument("-g", type=float)
-        p.add_argument("-m", type=int)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--seed", type=int)
+        for field, cast, _ in _RUN_FIELDS:
+            p.add_argument(f"-{field}" if len(field) == 1 else f"--{field}", type=cast)
         p.add_argument("--workers", type=int, default=None)
         p.add_argument("--out", required=True, help="output CSV path")
         p.set_defaults(func=cmd_run)

@@ -79,11 +79,13 @@ def _has_k_paths(adj: list[list[int]], k: int, t: int, source: set[int]) -> bool
     gives unit arcs u_out -> w_in and w_out -> u_in. nxt[u] = w is one unit of
     flow on u_out -> w_in, so u carries a path iff u is in nxt. A search stops
     at the first u_in it reaches with u in source, and pushes one unit back
-    along the path it found. The super-source still feeds that u_in: once a
-    source starts a path, no residual arc leaves its u_in, so none reaches it.
-    A source u that carries no path is taken as soon as u_out is reached,
-    since u_out leads on only to u_in: any augmenting path will do, so this
-    finds the same number of paths without scanning the rest of the layer.
+    along the path it found. No flow arc points into a source: a new arc
+    points into a node whose u_in the search scanned, and the search stops
+    before it scans the source it found. So the flow never leads a search to
+    a source, and a source u that carries no path is taken as soon as a
+    neighbour scan reaches u_out, since u_out leads on only to u_in: any
+    augmenting path will do, so this finds the same number of paths without
+    scanning the rest of the layer.
     """
     nxt: dict[int, int] = {}
     for _ in range(k):
@@ -96,9 +98,6 @@ def _has_k_paths(adj: list[list[int]], k: int, t: int, source: set[int]) -> bool
                 y = 2 * nxt.get(u, u)
                 if y not in par:
                     par[y] = x
-                    if y >> 1 in source:
-                        found = y
-                        break
                     queue.append(y)
                 continue
             if u in nxt and x + 1 not in par:  # back over u's used unit arc

@@ -234,11 +234,8 @@ def run_resilience_trials(cfg: ExperimentConfig,
 def _apply_sweep_value(params: ModelParams, m: int, axis: str, value):
     if axis == "m":
         return params, int(value)
-    if axis in ("n", "K", "P"):
-        return params.replace(**{axis: int(value)}), m
-    if axis in ("f", "g"):
-        return params.replace(**{axis: float(value)}), m
-    raise InvalidParameterError(f"unknown sweep axis {axis!r}")
+    cast = int if axis in ("n", "K", "P") else float
+    return params.replace(**{axis: cast(value)}), m
 
 
 def sweep_experiment(cfg: ExperimentConfig,

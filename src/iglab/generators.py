@@ -195,6 +195,18 @@ def _pairs_from_rings(assign: ObjectAssignment, d: int) -> np.ndarray:
     return pairs
 
 
+def _check_expected_pairs(n: int, K: int, P: int) -> None:
+    """Refuse, before any ring is drawn, rings of K of P objects on n nodes
+    whose expected within-object node pairs, E[sum over objects of
+    C(U_i, 2)] = P * C(n, 2) * (K/P)^2, exceed _PAIR_KEY_BUDGET."""
+    expected = P * math.comb(n, 2) * (K / P) ** 2
+    if expected > _PAIR_KEY_BUDGET:
+        raise InvalidParameterError(
+            f"rings of K={K} of P={P} objects on n={n} nodes give about "
+            f"{expected:.3g} within-object node pairs, above the budget of "
+            f"{_PAIR_KEY_BUDGET}; lower n or K, or raise P")
+
+
 def graph_from_rings(assign: ObjectAssignment, d: int) -> GraphTopology:
     """Edge (i, j) iff rings i and j share at least d objects."""
     if d < 1:
@@ -250,12 +262,7 @@ def gen_model_graph(params: ModelParams, rng: np.random.Generator,
     construction G_d cap G(n,f) cap G(n,g) for differential testing.
     """
     n, K, P = params.n, params.K, params.P
-    expected = P * math.comb(n, 2) * (K / P) ** 2  # E[sum over objects of C(U_i, 2)]
-    if expected > _PAIR_KEY_BUDGET:
-        raise InvalidParameterError(
-            f"rings of K={K} of P={P} objects on n={n} nodes give about "
-            f"{expected:.3g} within-object node pairs, above the budget of "
-            f"{_PAIR_KEY_BUDGET}; lower n or K, or raise P")
+    _check_expected_pairs(n, K, P)
     pairs = _pairs_from_rings(gen_object_rings_uniform(n, K, P, rng), params.d)
     if explicit_layers:
         layer_f = gen_er(n, params.f, rng)
@@ -325,8 +332,11 @@ def gen_coupled_pair(n: int, K: int, P: int, d: int,
     Bernoulli(x) subset and each G ring a uniform K-subset, and an H ring of
     at most K objects lies inside its G ring. H's edges are then contained in
     G's whenever no H ring has more than K objects (coupling_valid).
+    Like gen_model_graph, it refuses before the draw when G's expected
+    within-object pairs, which bound H's since x < K/P, exceed the budget.
     """
     thr = coupling_threshold_x(K, P, n)
+    _check_expected_pairs(n, K, P)
     rings_b, blocks_u = [], []
     for keys in _uniform_row_blocks(n, P, rng):
         rings_b.extend(np.nonzero(row)[0] for row in keys < thr.x)

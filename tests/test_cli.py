@@ -103,6 +103,18 @@ def test_critical_reports_infeasible(capsys):
     assert "INFEASIBLE" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("axis, extra, shown, note", [
+    ("m", ("-K", 2), "critical m* = ", "even m=0 violates the inequality"),
+    ("g", ("-K", 36, "-f", 0), "critical g* = inf", "no finite crossing"),
+], ids=["m-below-zero", "g-without-crossing"])
+def test_critical_reports_infeasible_axes(axis, extra, shown, note, capsys):
+    assert run_cli("critical", "--axis", axis, "-n", 1000, "-P", 10000,
+                   "-d", 2, *extra) == 0
+    out = capsys.readouterr().out
+    assert shown in out and "INFEASIBLE" in out
+    assert note in out
+
+
 def _read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -222,6 +234,40 @@ def test_sweep_rows_recompute_predictions(tmp_path, capsys):
         assert r["critical_value"] == rows[0]["critical_value"]
 
 
+def test_sweep_over_m_predicts_each_failure_budget(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "-n", 200, "-K", 4, "-P", 30, "-d", 1, "-g", 0.12,
+                   "--axis", "m", "--values", "0,1,2", "--trials", 4,
+                   "--workers", 1, "--out", out) == 0
+    rows = _read_csv(out)
+    assert [r["m"] for r in rows] == ["0", "1", "2"]
+    params = ModelParams(n=200, K=4, P=30, d=1, f=1.0, g=0.12)
+    for m, r in enumerate(rows):
+        alpha = alpha_from_params(params, m)
+        assert float(r["alpha"]) == pytest.approx(alpha, rel=1e-8)
+        assert float(r["predicted_limit"]) == pytest.approx(
+            predicted_limit_prob(alpha, m), rel=1e-8)
+
+
+def test_sweep_over_n_has_no_prediction_at_two_nodes(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "-n", 60, "-K", 3, "-P", 15, "-d", 1,
+                   "--axis", "n", "--values", "2,60", "--trials", 4,
+                   "--workers", 1, "--out", out) == 0
+    small, full = _read_csv(out)
+    assert small["n"] == "2"
+    assert small["alpha"] == small["predicted_limit"] == "nan"
+    assert math.isfinite(float(full["alpha"]))
+
+
+def test_unwritable_out_is_an_io_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "run.csv"
+    assert run_cli("simulate", "-n", 30, "-K", 3, "-P", 12, "-d", 1,
+                   "--trials", 2, "--workers", 1, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error: ") and str(out) in err
+
+
 def test_sweep_rerun_is_byte_identical(tmp_path):
     args = ["sweep", "-n", 60, "-K", 3, "-P", 15, "-d", 1,
             "--axis", "g", "--values", "0.5,0.9",
@@ -299,6 +345,15 @@ def test_malformed_number_is_a_validation_error(how, tmp_path, capsys):
                 "--axis", "g", "--values", "0.5,abc", "--out", out)
     assert run_cli(*argv) == 2
     assert "error: " in capsys.readouterr().err
+
+
+def test_config_sweep_axis_outside_the_solver_axes_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "axis.cfg"
+    cfg.write_text("n=40\nK=3\nP=12\nd=1\ntrials=2\n[sweep]\naxis = d\nvalues=1,2\n")
+    out = tmp_path / "x.csv"
+    assert run_cli("sweep", "--config", cfg, "--workers", 1, "--out", out) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_file_is_io_error(tmp_path, capsys):

@@ -116,23 +116,28 @@ def test_overlap_pair_budget_fails_fast(tmp_path):
     assert "within-object node pairs" in done.stderr
 
 
-def test_oversized_model_refused_before_ring_draw(tmp_path):
+@pytest.mark.parametrize("argv", [
+    "'simulate', '-n', '100000', '-K', '500', '-P', '10000', '-d', '2',"
+    " '--trials', '1', '--workers', '1', '--out', sys.argv[1]",
+    "'verify', 'coupling', '-n', '100000', '-K', '500', '-P', '10000', '-d', '2',"
+    " '--trials', '1'",
+], ids=["simulate", "verify-coupling"])
+def test_oversized_model_refused_before_ring_draw(argv, tmp_path):
     # n = 10^5, K = 500, P = 10^4 expects P * C(n, 2) * (K/P)^2 ~ 1.25e11
     # within-object node pairs. Its dense rings alone look at 10^9 uniforms
-    # (~17 s), so the run must refuse before drawing any ring.
+    # (~17 s), so both the composed model and the coupling must refuse
+    # before drawing any ring.
     code = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))\n"
         "from iglab.cli import main\n"
-        "sys.exit(main(['simulate', '-n', '100000', '-K', '500', '-P', '10000',\n"
-        "               '-d', '2', '--trials', '1', '--workers', '1',\n"
-        "               '--out', sys.argv[1]]))\n"
+        f"sys.exit(main([{argv}]))\n"
     )
     try:
         done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "run.csv")],
                               timeout=10, capture_output=True, text=True)
     except subprocess.TimeoutExpired:
-        pytest.fail("simulate -n 100000 -K 500 -P 10000 was not refused within 10 s")
+        pytest.fail(f"main([{argv}]) was not refused within 10 s")
     assert done.returncode == 2, done.stderr
     assert "within-object node pairs" in done.stderr
 
