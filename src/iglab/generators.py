@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateRegimeError, InfeasibleCouplingError, InvalidParameterError
 from .graph import GraphTopology, intersect_graphs, keys_seen_at_least
@@ -26,11 +27,12 @@ from .theory import ModelParams
 _REJECTION_DENSITY_CUTOFF = 0.1
 
 # Most within-object node pairs, sum over objects of C(U_i, 2), that
-# _pairs_from_rings builds. Its peak memory (ru_maxrss delta in a child at
-# 6.5e6 and 2.0e7 pairs, n = 10^4) is ~12 bytes per pair for d >= 2 when the
-# keys fit int32 and ~23 when they need int64, ~1.4 GB at the budget; for
-# d = 1, where nearly every pair is an edge, ~16-24 and ~23. For d = 1,
-# graph_from_rings, GraphTopology included, peaks at ~51-52 bytes per edge.
+# _pairs_from_rings builds. Its peak memory (ru_maxrss rise over the RSS
+# before the call, in a child at 6.5e6 and 2.0e7 pairs, n = 10^4) is ~6-7
+# bytes per pair for d >= 2 when the keys fit int32 and ~18 when they need
+# int64, ~1.1 GB at the budget; for d = 1, where nearly every pair is an
+# edge, ~19 and ~25. For d = 1, graph_from_rings, GraphTopology included,
+# peaks at ~51-52 bytes per edge.
 # The largest count any test or benchmark workload reaches is ~5.0e5
 # (n = 1000, K = 100, P = 10^4), 120 times below; n = 10^5, K = 100,
 # P = 10^4 would need ~5e9.
@@ -130,7 +132,8 @@ def gen_object_rings_uniform(n: int, K: int, P: int,
         redraw = np.arange(n)
         while redraw.size:
             mat[redraw] = np.sort(rng.integers(0, P, size=(redraw.size, K), dtype=np.int64), axis=1)
-            redraw = redraw[(np.diff(mat[redraw], axis=1) == 0).any(axis=1)]
+            drawn = mat[redraw]
+            redraw = redraw[(drawn[:, 1:] == drawn[:, :-1]).any(axis=1)]
     else:
         mat = np.concatenate([np.empty((0, K), np.int64),
                               *(_smallest_k(keys, K) for keys in _uniform_row_blocks(n, P, rng))])
@@ -156,9 +159,9 @@ def _pairs_from_rings(assign: ObjectAssignment, d: int) -> np.ndarray:
 
     Inverted-index counting: one sort of the keys obj * n + node groups the
     ring memberships by object, with node ids ascending inside each object.
-    Every member emits the key lo * n + hi for each later member of its
-    object, and the keys seen at least d times are the edges. Same graph as
-    pairwise set intersection, much cheaper in the sparse regime. Raises
+    Every two members lo < hi of an object give the key lo * n + hi, and the
+    keys seen at least d times are the edges. Same graph as pairwise set
+    intersection, much cheaper in the sparse regime. Raises
     InvalidParameterError, before any pair is built, when the pairs number
     more than _PAIR_KEY_BUDGET.
     """
@@ -172,27 +175,59 @@ def _pairs_from_rings(assign: ObjectAssignment, d: int) -> np.ndarray:
         raise InvalidParameterError(
             f"the rings give {pair_keys} within-object node pairs, above the "
             f"budget of {_PAIR_KEY_BUDGET}; lower n or K, or raise P")
-    # every key is below n * max(n, P) and every index into the pairs below
+    # every key is below n * max(n, P) and every offset into the keys below
     # pair_keys; int32 halves the bytes each sort moves
     key = np.int32 if max(n * max(n, P), pair_keys) <= 1 << 31 else np.int64
     members = np.sort(objects.astype(key, copy=False) * n
                       + np.repeat(np.arange(n, dtype=key), lens)) % n
-    # position p pairs with the `later` members after it in its object's run
-    position = np.arange(members.size)
-    later = np.repeat(np.cumsum(counts), counts) - position - 1
-    # pair q of position p has right end p + 1 + (q - first pair of p)
-    right = np.repeat((position + 1 - (np.cumsum(later) - later)).astype(key), later)
-    del position
-    right += np.arange(pair_keys, dtype=key)
-    keys = np.repeat(members * n, later)
-    del later
-    keys += members[right]
-    del right
-    keep = keys_seen_at_least(keys, d)
-    del keys
+    keep = keys_seen_at_least(_member_pair_keys(members, counts, n, pair_keys), d)
     pairs = np.empty((keep.size, 2), dtype=np.int64)
     np.divmod(keep, n, out=(pairs[:, 0], pairs[:, 1]))
     return pairs
+
+
+def _member_pair_keys(members: np.ndarray, counts: np.ndarray, n: int,
+                      pair_keys: int) -> np.ndarray:
+    """The pair_keys keys lo * n + hi, one for every two members lo < hi of
+    an object, in no set order and of the dtype of `members`. `members` holds
+    the member nodes of object 0, then of object 1, and so on, each object's
+    ascending; counts[o] is how many object o has.
+
+    The keys are written one member column at a time. Taken largest first,
+    the objects with a j-th member (from 0) are the first have[j + 1], and one
+    broadcast add pairs the j-th member of each with its first j members,
+    read from a matrix of the earlier columns times n. That matrix keeps only
+    as many columns as fit in the keys' own size; past them, a column's
+    earlier members are gathered per object into its block of keys, so peak
+    memory stays a small multiple of the keys on any ring set.
+    """
+    # first[r]: where the r-th largest object's members start in `members`;
+    # have[s]: how many objects have at least s members
+    first = (np.cumsum(counts) - counts)[np.argsort(-counts)]
+    have = np.cumsum(np.bincount(counts, minlength=3)[::-1])[::-1]
+    paired = int(have[2])  # objects with two members or more
+    widest = have.size - 2  # the most earlier members a column pairs with
+    kept = min(widest, pair_keys // max(paired, 1))
+    # earlier[i, r]: member i of the r-th largest object, times n
+    earlier = np.empty((kept, paired), dtype=members.dtype)
+    if kept < widest:
+        # window[p, i]: members[p + i], padded so every object's row fits
+        window = sliding_window_view(np.pad(members, (0, widest)), widest)
+    keys = np.empty(pair_keys, dtype=members.dtype)
+    end = 0
+    for j in range(have.size - 1):
+        h = int(min(have[j + 1], paired))  # a lone member pairs with no one
+        col = members[first[:h] + j]
+        if j <= kept:
+            np.add(earlier[:j, :h], col, out=keys[end:end + j * h].reshape(j, h))
+        else:
+            block = keys[end:end + j * h].reshape(h, j)
+            np.multiply(window[first[:h], :j], n, out=block)
+            block += col[:, None]
+        if j < kept:
+            np.multiply(col, n, out=earlier[j, :h])
+        end += j * h
+    return keys
 
 
 def _check_expected_pairs(n: int, K: int, P: int) -> None:

@@ -5,6 +5,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from iglab.errors import (
     DegenerateRegimeError,
@@ -144,20 +146,24 @@ def test_oversized_model_refused_before_ring_draw(argv, tmp_path):
 
 @pytest.mark.parametrize("call", [
     "graph_from_rings(gen_object_rings_uniform(20000, 500, 10000, trial_rng(0, 0)), 2)",
+    "graph_from_rings(gen_object_rings_binomial(20000, 0.0378, 10000, trial_rng(0, 0)), 2)",
     "main(['verify', 'coupling', '-n', '20000', '-K', '500', '-P', '10000', '-d', '2',"
     " '--trials', '1'])",
-], ids=["uniform", "binomial"])
+], ids=["uniform", "binomial", "coupling-refused-before-draw"])
 def test_dense_ring_draws_fit_before_pair_budget(call):
-    # K = 500 of P = 10^4 takes the dense uniform branch, and verify coupling
-    # draws binomial rings: both look at n x P = 2e8 uniforms (1.5 GiB as one
-    # float64 matrix). Drawn in row blocks, the rings fit under the child's
-    # 1.5 GiB address-space cap, and the pair budget refuses them (exit 2).
+    # K = 500 of P = 10^4 takes the dense uniform branch, and binomial rings
+    # at x = 0.0378 hold about as many objects: both look at n x P = 2e8
+    # uniforms (1.5 GiB as one float64 matrix). Drawn in row blocks, the
+    # rings fit under the child's 1.5 GiB address-space cap, and the pair
+    # budget refuses them (exit 2). verify coupling at the same size is
+    # refused by the expected-pair check before it draws any ring.
     code = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))\n"
         "from iglab.cli import main\n"
         "from iglab.errors import InvalidParameterError\n"
-        "from iglab.generators import gen_object_rings_uniform, graph_from_rings, trial_rng\n"
+        "from iglab.generators import (gen_object_rings_binomial, gen_object_rings_uniform,\n"
+        "                              graph_from_rings, trial_rng)\n"
         "try:\n"
         f"    sys.exit({call})\n"
         "except InvalidParameterError as exc:\n"
@@ -168,6 +174,36 @@ def test_dense_ring_draws_fit_before_pair_budget(call):
                           timeout=120, capture_output=True, text=True)
     assert done.returncode == 2, done.stderr
     assert "within-object node pairs" in done.stderr
+
+
+def test_pair_build_memory_on_skewed_rings():
+    # Object 0 is in 4,000 of the 20,000 rings (8.0e6 of the 8.1e6 pair
+    # keys), the rest of the objects in about two each. A matrix of earlier
+    # member columns as wide as object 0's 4,000 members took 93 bytes per
+    # pair key in a trial build; the pair build must stay within 16 (int32
+    # keys). Measured as the ru_maxrss rise over the call, in a child so
+    # that the suite's own peak does not hide it.
+    code = (
+        "import resource\n"
+        "import numpy as np\n"
+        "from iglab.generators import (ObjectAssignment, _pairs_from_rings,\n"
+        "                              gen_object_rings_uniform, trial_rng)\n"
+        "n, P = 20000, 10 ** 5\n"
+        "rings = gen_object_rings_uniform(n, 8, P - 1, trial_rng(5, 0)).rings + 1\n"
+        "rings[:4000, 0] = 0\n"
+        "counts = np.bincount(rings.ravel())\n"
+        "pair_keys = int((counts * (counts - 1) // 2).sum())\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "pairs = _pairs_from_rings(ObjectAssignment(rings=rings, pool_size=P), 2)\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(pair_keys, len(pairs), (after - before) * 1024 / pair_keys)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code],
+                          timeout=120, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    pair_keys, edges, per_pair = done.stdout.split()
+    assert int(pair_keys) > 8_000_000 and int(edges) > 0
+    assert float(per_pair) <= 16, f"{per_pair} bytes per pair key"
 
 
 def test_uniform_rings_validation():
@@ -201,6 +237,34 @@ def test_graph_from_rings_matches_pairwise_intersection():
         expect = {(i, j) for i in range(30) for j in range(i + 1, 30)
                   if len(sets[i] & sets[j]) >= d}
         assert g.edges == expect
+
+
+@st.composite
+def ragged_rings(draw):
+    """(P, rings): one ring per node as a set of objects of 0..P-1. The
+    first ring holds every object and the last none; a crowd of nodes that
+    hold object 0 alone can make that object far larger than the rest."""
+    P = draw(st.integers(1, 12))
+    middle = draw(st.lists(st.sets(st.integers(0, P - 1), max_size=P), max_size=30))
+    crowd = draw(st.integers(0, 30))
+    return P, [set(range(P)), *middle, *[{0}] * crowd, set()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(ragged_rings())
+# object 0 has 21 members and objects 1..30 two or three, 296 pair keys
+# over 31 objects: the earlier-column matrix keeps 296 // 31 = 9 columns,
+# so columns 10..20 of object 0 are gathered
+@example((31, [set(range(31)), *({k, k + 1} for k in range(1, 30)), *[{0}] * 20, set()]))
+def test_overlap_pairs_match_pairwise_intersection_on_ragged_rings(case):
+    P, rings = case
+    assign = assignment(*rings, pool=P)
+    for d in (1, 2, 3):
+        expect = [(i, j) for i, j in combinations(range(len(rings)), 2)
+                  if len(rings[i] & rings[j]) >= d]
+        got = _pairs_from_rings(assign, d)
+        assert got.dtype == np.int64
+        assert got.tolist() == [list(e) for e in expect]
 
 
 def _pairwise_overlap_pairs(rings, d):
