@@ -86,19 +86,25 @@ def _fmt_rational(frac) -> str:
     return "(rational too large to print)"
 
 
-def _add_model_args(p: argparse.ArgumentParser, need_n: bool = True) -> None:
+def _add_ring_args(p: argparse.ArgumentParser, need_n: bool = True) -> None:
     if need_n:
         p.add_argument("-n", type=int, required=True, help="node count")
     p.add_argument("-K", type=int, required=True, help="object ring size")
     p.add_argument("-P", type=int, required=True, help="object pool size")
     p.add_argument("-d", type=int, required=True, help="overlap threshold")
+
+
+def _add_model_args(p: argparse.ArgumentParser, need_n: bool = True) -> None:
+    _add_ring_args(p, need_n)
     p.add_argument("-f", type=float, default=1.0, help="friendship probability")
     p.add_argument("-g", type=float, default=1.0, help="link-survival probability")
 
 
 def _params_from_args(args, n: int | None = None) -> ModelParams:
+    """The model flags as checked ModelParams; a command without -f and -g
+    (verify coupling) has both at 1."""
     return ModelParams(n=n if n is not None else args.n, K=args.K, P=args.P,
-                       d=args.d, f=args.f, g=args.g)
+                       d=args.d, f=getattr(args, "f", 1.0), g=getattr(args, "g", 1.0))
 
 
 # -- subcommands -------------------------------------------------------------
@@ -259,7 +265,8 @@ def _write_outputs(csv_text: str, rows: list[ExperimentResult],
 def cmd_run(args) -> int:
     """The simulate and sweep subcommands."""
     cfg = _resolve_run_config(args, want_sweep=args.command == "sweep")
-    workers = resolve_workers(args.workers, cfg.trials)
+    points = len(cfg.sweep[1]) if cfg.sweep else 1
+    workers = resolve_workers(args.workers, points * cfg.trials)
     started = datetime.now(timezone.utc).isoformat()
     if cfg.sweep:
         rows = sweep_experiment(cfg, workers=workers)
@@ -270,8 +277,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    params = _params_from_args(args)
     if args.subtest == "degree":
-        params = _params_from_args(args)
         report = degree_law_test(params, args.trials, base_seed=args.seed)
         print("degree-law test (Poisson law of degree-h node counts)")
         for e in report.entries:
@@ -283,7 +290,6 @@ def cmd_verify(args) -> int:
             print(f"  regime warning: {w.name}: {w.description}")
         payload = {"entries": [asdict(e) for e in report.entries]}
     elif args.subtest == "dominance":
-        params = _params_from_args(args)
         report = dominance_test(params, args.trials, args.k, base_seed=args.seed)
         print("stochastic-dominance test (model vs thinned Erdos-Renyi)")
         print(f"  P[model {args.k}-conn] = {_fmt(report.p_model)}")
@@ -292,7 +298,6 @@ def cmd_verify(args) -> int:
               f"  holds = {report.holds}")
         payload = asdict(report)
     elif args.subtest == "gap":
-        params = _params_from_args(args)
         report = gap_test(params, args.trials, args.k, base_seed=args.seed)
         print("gap test (min degree >= k yet not k-connected)")
         print(f"  frequency = {_fmt(report.frequency)} "
@@ -300,7 +305,7 @@ def cmd_verify(args) -> int:
               f"CI [{_fmt(report.ci_low)}, {_fmt(report.ci_high)}]")
         payload = asdict(report)
     else:  # coupling
-        report = coupling_validity_rate(args.n, args.K, args.P, args.d,
+        report = coupling_validity_rate(params.n, params.K, params.P, params.d,
                                         args.trials, base_seed=args.seed)
         print("coupling validity (binomial rings fit inside K; containment asserted)")
         print(f"  x = {_fmt(report.x)}")
@@ -368,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = p.add_subparsers(dest="subtest", required=True)
     for name in ("degree", "dominance", "gap", "coupling"):
         vp = vsub.add_parser(name)
-        _add_model_args(vp)
+        (_add_ring_args if name == "coupling" else _add_model_args)(vp)
         vp.add_argument("--trials", type=int, default=200)
         vp.add_argument("--seed", type=int, default=0)
         if name in ("dominance", "gap"):

@@ -1,13 +1,15 @@
 """Monte-Carlo estimation harness and statistical verification tests.
 
-Every loop over trials maps a per-trial function through _trial_map. The
-parent process runs trials itself and starts worker processes only once the
-mean trial time so far, times the trials left, says they would save more
-than their start-up cost; then it works as one of them, and the pool lasts
-for the rest of the run. Trial i draws from trial_rng(base_seed, *path, i)
-and records come back in index order, so results are bit-identical for any
-worker count and any schedule; aggregation is pure counting of the
-per-trial records.
+Every loop over trials is one _map_trials call. A simulate or sweep run is a
+list of rows, one per sweep value, each built and checked before any trial;
+then the trials of every row run as one batch. The parent process runs
+trials itself and starts worker processes only once the mean trial time so
+far, times the trials left, says they would save more than their start-up
+cost; then it deals the trials left in turn to itself and to one pool, which
+lasts until the batch ends. Trial i of a row draws from
+trial_rng(base_seed, *path, i) and records come back in index order, so
+results are bit-identical for any worker count and any schedule; aggregation
+is pure counting of the per-trial records.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -24,7 +25,13 @@ import numpy as np
 
 from .connectivity import is_k_connected, min_degree_at_least, survives_node_failures
 from .errors import ContainmentViolationError, InvalidParameterError
-from .generators import gen_coupled_pair, gen_er, gen_model_graph, trial_rng
+from .generators import (
+    _check_expected_pairs,
+    gen_coupled_pair,
+    gen_er,
+    gen_model_graph,
+    trial_rng,
+)
 from .graph import degree_histogram, intersect_graphs
 from .theory import (
     CriticalResult,
@@ -44,7 +51,7 @@ _WILSON_Z = 1.959963984540054  # two-sided 95%
 DOMINANCE_SLACK = 0.02  # finite-n stand-in for the 1-o(1/ln n) factor
 
 # Wall time, in seconds, that starting the worker processes adds to a run:
-# the break-even _trial_map weighs a pool's saving against. Measured on 2
+# the break-even _map_trials weighs a pool's saving against. Measured on 2
 # CPUs (Python 3.11, numpy 2.4, scipy 1.17): a `simulate` CLI call of four
 # near-free trials at --workers 2 took a median 25 ms with a pool of one
 # worker forced and 9 ms serial (40 alternated pairs). Alone, with numpy and
@@ -146,116 +153,104 @@ def _trial_chunk(trial, indices: range) -> list:
     return [trial(i) for i in indices]
 
 
-@contextmanager
-def _trial_map(workers: int | None, trials: int):
-    """Yield map_trials(trial) -> [trial(0), ..., trial(trials - 1)].
+def _map_trials(trial, trials: int, workers: int | None) -> list:
+    """[trial(0), ..., trial(trials - 1)], run by at most w processes, w from
+    resolve_workers(workers, trials).
 
     The parent runs trials itself, in index order, until the mean trial time
     times the trials left says that w processes would save more than
     _POOL_START_S: mean * left * (w - 1) / w > _POOL_START_S, checked after
-    every trial. It then starts one pool of w - 1 worker processes, which
-    later calls in the run share. With a pool, the trials left are split into
-    w contiguous chunks: the workers take chunks 2..w and the parent runs
-    chunk 1. The pool is shut down when the run ends, also when a trial
-    raises. `trial` derives its streams from the index and must pickle: a
-    module-level function or a functools.partial of one."""
+    every trial. It then starts one pool of w - 1 worker processes and deals
+    the trials left in turn: process r of w (the parent is 0) takes every
+    w-th of them from the r-th on. The pool is shut down before the call
+    returns, also when a trial raises. `trial` derives its streams from the
+    index and must pickle: a module-level function or a functools.partial
+    of one."""
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
     workers = resolve_workers(workers, trials)
-    pool = None
-
-    def map_trials(trial) -> list:
-        nonlocal pool
-        records, started = [], time.perf_counter()
-        while pool is None and len(records) < trials:
-            records.append(trial(len(records)))
-            done = len(records)
-            mean = (time.perf_counter() - started) / done
-            if mean * (trials - done) * (workers - 1) / workers > _POOL_START_S:
-                pool = ProcessPoolExecutor(max_workers=workers - 1)
-        first, left = len(records), trials - len(records)
-        bounds = [first + -(-left * j // workers) for j in range(workers + 1)]
-        chunks = [pool.submit(_trial_chunk, trial, range(lo, hi))
-                  for lo, hi in zip(bounds[1:-1], bounds[2:]) if lo < hi]
-        records += _trial_chunk(trial, range(bounds[0], bounds[1]))
-        for chunk in chunks:
-            records += chunk.result()
+    records, started = [], time.perf_counter()
+    while len(records) < trials:
+        records.append(trial(len(records)))
+        done = len(records)
+        mean = (time.perf_counter() - started) / done
+        if mean * (trials - done) * (workers - 1) / workers > _POOL_START_S:
+            break
+    first = len(records)
+    if first == trials:
         return records
-
+    records += [None] * (trials - first)
+    pool = ProcessPoolExecutor(max_workers=workers - 1)
     try:
-        yield map_trials
+        dealt = [pool.submit(_trial_chunk, trial, range(first + r, trials, workers))
+                 for r in range(1, workers)]
+        records[first::workers] = _trial_chunk(trial, range(first, trials, workers))
+        for r, chunk in enumerate(dealt, 1):
+            records[first + r::workers] = chunk.result()
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        pool.shutdown(cancel_futures=True)
+    return records
 
 
-def _resilience_trial(params: ModelParams, m: int, base_seed: int,
-                      path_prefix: tuple, i: int) -> bool:
-    rng = trial_rng(base_seed, *path_prefix, i)
+def _resilience_trial(rows: tuple, trials: int, base_seed: int, t: int) -> bool:
+    params, m, path = rows[t // trials]
+    rng = trial_rng(base_seed, *path, t % trials)
     return survives_node_failures(gen_model_graph(params, rng), m)
 
 
-def _make_result(params: ModelParams, m: int, trials: int, successes: int,
-                 base_seed: int, sweep_param: str, sweep_value,
-                 critical: CriticalResult | None, started: float) -> ExperimentResult:
-    lo, hi = wilson_interval(successes, trials)
-    alpha = alpha_from_params(params, m) if params.n >= 3 else math.nan
-    pred = predicted_limit_prob(alpha, m) if params.n >= 3 else math.nan
-    return ExperimentResult(
-        sweep_param=sweep_param,
-        sweep_value=sweep_value,
-        params=params,
-        m=m,
-        trials=trials,
-        successes=successes,
-        empirical_prob=successes / trials,
-        ci_low=lo,
-        ci_high=hi,
-        alpha=alpha,
-        predicted_limit=pred,
-        critical=critical,
-        seed=base_seed,
-        wall_time=time.perf_counter() - started,
-    )
+def _run_rows(cfg: ExperimentConfig, rows: list, workers: int | None,
+              axis: str = "", critical: CriticalResult | None = None
+              ) -> list[ExperimentResult]:
+    """One result per (params, m, path, sweep value) row, its trial i drawn
+    from trial_rng(cfg.base_seed, *path, i). Every row is checked before the
+    first trial; then the cfg.trials trials of every row run as one batch."""
+    for params, m, _, _ in rows:
+        if m < 0:
+            raise InvalidParameterError(f"m must be >= 0, got {m}")
+        _check_expected_pairs(params.n, params.K, params.P)
+    started = time.perf_counter()
+    trial = partial(_resilience_trial, tuple(row[:3] for row in rows),
+                    cfg.trials, cfg.base_seed)
+    records = _map_trials(trial, len(rows) * cfg.trials, workers)
+    wall_time = time.perf_counter() - started
+    results = []
+    for j, (params, m, _, value) in enumerate(rows):
+        successes = sum(records[j * cfg.trials:(j + 1) * cfg.trials])
+        lo, hi = wilson_interval(successes, cfg.trials)
+        alpha = alpha_from_params(params, m) if params.n >= 3 else math.nan
+        pred = predicted_limit_prob(alpha, m) if params.n >= 3 else math.nan
+        results.append(ExperimentResult(
+            sweep_param=axis, sweep_value=value, params=params, m=m,
+            trials=cfg.trials, successes=successes,
+            empirical_prob=successes / cfg.trials, ci_low=lo, ci_high=hi,
+            alpha=alpha, predicted_limit=pred, critical=critical,
+            seed=cfg.base_seed, wall_time=wall_time))
+    return results
 
 
 def run_resilience_trials(cfg: ExperimentConfig,
                           workers: int | None = None) -> ExperimentResult:
     """Estimate P[model graph survives m node failures] over cfg.trials
-    independent samples."""
-    started = time.perf_counter()
-    with _trial_map(workers, cfg.trials) as map_trials:
-        succ = sum(map_trials(partial(_resilience_trial, cfg.params, cfg.m,
-                                      cfg.base_seed, ())))
-    return _make_result(cfg.params, cfg.m, cfg.trials, succ, cfg.base_seed,
-                        "", None, None, started)
-
-
-def _apply_sweep_value(params: ModelParams, m: int, axis: str, value):
-    if axis == "m":
-        return params, int(value)
-    cast = int if axis in ("n", "K", "P") else float
-    return params.replace(**{axis: cast(value)}), m
+    independent samples, trial i drawn from trial_rng(cfg.base_seed, i)."""
+    return _run_rows(cfg, [(cfg.params, cfg.m, (), None)], workers)[0]
 
 
 def sweep_experiment(cfg: ExperimentConfig,
                      workers: int | None = None) -> list[ExperimentResult]:
     """One resilience estimate per sweep value, each row carrying the
-    critical value of the swept axis (the figure protocol's vertical line)."""
-    if cfg.sweep is None:
-        raise InvalidParameterError("sweep_experiment needs cfg.sweep set")
+    critical value of the swept axis (the figure protocol's vertical line).
+    Row j's trial i draws from trial_rng(cfg.base_seed, j, i)."""
+    if cfg.sweep is None or not cfg.sweep[1]:
+        raise InvalidParameterError("sweep_experiment needs cfg.sweep with a value")
     axis, values = cfg.sweep
     critical = solve_critical(axis, cfg.params, cfg.m)
+    cast = int if axis in ("n", "K", "P", "m") else float
     rows = []
-    with _trial_map(workers, cfg.trials) as map_trials:
-        for point_idx, value in enumerate(values):
-            params, m = _apply_sweep_value(cfg.params, cfg.m, axis, value)
-            started = time.perf_counter()
-            succ = sum(map_trials(partial(_resilience_trial, params, m,
-                                          cfg.base_seed, (point_idx,))))
-            rows.append(_make_result(params, m, cfg.trials, succ, cfg.base_seed,
-                                     axis, value, critical, started))
-    return rows
+    for j, value in enumerate(values):
+        point = {**vars(cfg.params), "m": cfg.m, axis: cast(value)}
+        m = point.pop("m")
+        rows.append((ModelParams(**point), m, (j,), value))
+    return _run_rows(cfg, rows, workers, axis, critical)
 
 
 # -- statistical verification tests -----------------------------------------
@@ -331,8 +326,7 @@ def degree_law_test(params: ModelParams, trials: int, base_seed: int = 0,
     """Compare the trial-to-trial law of the number of degree-h nodes with
     its asymptotic Poisson law. Reports distances, never a hard verdict."""
     t = edge_prob_model(params)
-    with _trial_map(None, trials) as map_trials:
-        records = map_trials(partial(_degree_trial, params, hs, base_seed))
+    records = _map_trials(partial(_degree_trial, params, hs, base_seed), trials, None)
     entries = []
     for h, counts in zip(hs, np.array(records, dtype=np.int64).T):
         lam = poisson_degree_mean(params.n, t, h)
@@ -370,8 +364,7 @@ def dominance_test(params: ModelParams, trials: int, k: int,
     z = t*(1-DOMINANCE_SLACK), using paired per-trial seeds."""
     t = edge_prob_model(params)
     z = t * (1.0 - DOMINANCE_SLACK)
-    with _trial_map(None, trials) as map_trials:
-        records = map_trials(partial(_dominance_trial, params, z, k, base_seed))
+    records = _map_trials(partial(_dominance_trial, params, z, k, base_seed), trials, None)
     succ_model, succ_er = map(sum, zip(*records))
     p_model, p_er = succ_model / trials, succ_er / trials
     lo_m, hi_m = wilson_interval(succ_model, trials)
@@ -401,8 +394,7 @@ def gap_test(params: ModelParams, trials: int, k: int,
              base_seed: int = 0) -> GapReport:
     """Frequency of 'minimum degree >= k yet not k-connected' across trials.
     The theory says this gap event vanishes asymptotically."""
-    with _trial_map(None, trials) as map_trials:
-        occurrences = sum(map_trials(partial(_gap_trial, params, k, base_seed)))
+    occurrences = sum(_map_trials(partial(_gap_trial, params, k, base_seed), trials, None))
     lo, hi = wilson_interval(occurrences, trials)
     return GapReport(frequency=occurrences / trials, occurrences=occurrences,
                      trials=trials, ci_low=lo, ci_high=hi, k=k)
@@ -431,8 +423,7 @@ def coupling_validity_rate(n: int, K: int, P: int, d: int, trials: int,
                            base_seed: int = 0) -> CouplingReport:
     """Fraction of coupled-pair draws where every binomial ring fit in K.
     On every valid draw, subgraph containment is asserted outright."""
-    with _trial_map(None, trials) as map_trials:
-        records = map_trials(partial(_coupling_trial, n, K, P, d, base_seed))
+    records = _map_trials(partial(_coupling_trial, n, K, P, d, base_seed), trials, None)
     valid = sum(ok for ok, _ in records)
     lo, hi = wilson_interval(valid, trials)
     return CouplingReport(validity_rate=valid / trials, valid_trials=valid,

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateRegimeError, InfeasibleCouplingError, InvalidParameterError
-from .graph import GraphTopology, intersect_graphs, keys_seen_at_least
+from .graph import GraphTopology, keys_seen_at_least
 from .theory import ModelParams
 
 # Sampler cutoff between rejection sampling and per-row partial shuffles;
@@ -286,23 +286,15 @@ def gen_er(n: int, p: float, rng: np.random.Generator) -> GraphTopology:
 
 # -- full model ------------------------------------------------------------
 
-def gen_model_graph(params: ModelParams, rng: np.random.Generator,
-                    explicit_layers: bool = False) -> GraphTopology:
+def gen_model_graph(params: ModelParams, rng: np.random.Generator) -> GraphTopology:
     """Sample the composed model: d-overlap graph thinned by friendship and
     link survival, i.e. distributed as G_d(n,K,P) intersected with an
-    Erdos-Renyi layer at p = f*g.
-
-    Default path thins only the overlap edges (the intersection never looks
-    at other pairs). explicit_layers=True restores the literal two-layer
-    construction G_d cap G(n,f) cap G(n,g) for differential testing.
+    Erdos-Renyi layer at p = f*g. Only the overlap edges are thinned: the
+    intersection never looks at other pairs.
     """
     n, K, P = params.n, params.K, params.P
     _check_expected_pairs(n, K, P)
     pairs = _pairs_from_rings(gen_object_rings_uniform(n, K, P, rng), params.d)
-    if explicit_layers:
-        layer_f = gen_er(n, params.f, rng)
-        layer_g = gen_er(n, params.g, rng)
-        return intersect_graphs(intersect_graphs(GraphTopology(n, pairs), layer_f), layer_g)
     if params.p < 1.0:
         pairs = pairs[rng.random(len(pairs)) < params.p]
     return GraphTopology(n, pairs)

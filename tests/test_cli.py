@@ -374,6 +374,22 @@ def test_verify_gap_and_coupling(capsys):
     assert payload["trials"] == 5
 
 
+def test_verify_coupling_refuses_d_above_K(capsys):
+    # every ring pair shares at most K objects, so every graph would be empty
+    assert run_cli("verify", "coupling", "-n", 200, "-K", 50, "-P", 500,
+                   "-d", 60, "--trials", 2) == 2
+    assert "need 1 <= d <= K <= P" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["-f", "-g"])
+def test_verify_coupling_takes_no_thinning_flags(capsys, flag):
+    # the coupling draws overlap graphs only; f and g would go unread
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", "coupling", "-n", 200, "-K", 50, "-P", 500, "-d", 2,
+                flag, 0.0, "--trials", 2)
+    assert exc.value.code == 2
+
+
 # With two workers the violation is raised in a worker process and has to
 # cross the process boundary. Workers start by fork, Linux's default start
 # method, so they see the patched sampler.

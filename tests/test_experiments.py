@@ -107,8 +107,7 @@ def test_sweep_points_share_one_pool(monkeypatch):
 
 
 def _map_all(workers, trials, trial):
-    with experiments._trial_map(workers, trials) as map_trials:
-        return map_trials(trial)
+    return experiments._map_trials(trial, trials, workers)
 
 
 def _fail_at(bad: int, i: int) -> int:
@@ -150,6 +149,33 @@ def test_no_worker_outlives_a_failed_trial(monkeypatch, bad):
         _map_all(2, 6, partial(_fail_at, bad))
     assert len(pools) == 1
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("axis, values", [
+    ("g", (0.5, 1.5)),  # outside [0, 1]
+    ("n", (200, 10 ** 6)),  # past the within-object pair budget
+    ("m", (0, -1)),
+])
+def test_sweep_refuses_a_bad_row_before_any_trial(monkeypatch, axis, values):
+    calls = []
+
+    def counting(params, rng):
+        calls.append(params)
+        return gen_model_graph(params, rng)
+
+    monkeypatch.setattr(experiments, "gen_model_graph", counting)
+    cfg = ExperimentConfig(params=ModelParams(n=200, K=4, P=30, d=1, f=1.0, g=0.5),
+                           m=0, trials=50, base_seed=1, sweep=(axis, values))
+    with pytest.raises(InvalidParameterError):
+        sweep_experiment(cfg, workers=1)
+    assert calls == []
+
+
+def test_sweep_rows_share_the_batch_wall_time():
+    cfg = ExperimentConfig(params=ModelParams(n=60, K=4, P=20, d=2, f=0.9, g=0.9),
+                           m=0, trials=3, base_seed=5, sweep=("m", (0, 1)))
+    first, second = sweep_experiment(cfg, workers=1)
+    assert first.wall_time == second.wall_time > 0
 
 
 def test_verify_reports_do_not_depend_on_worker_count(monkeypatch):

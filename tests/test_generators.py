@@ -396,18 +396,6 @@ def test_gen_model_graph_edge_frequency_matches_formula():
     assert abs(hits - total * t) < 4 * sigma
 
 
-def test_gen_model_graph_explicit_layers_same_distribution():
-    params = ModelParams(n=40, K=3, P=10, d=2, f=0.9, g=0.8)
-    t = edge_prob_model(params)
-    pairs = 40 * 39 // 2
-    trials = 300
-    hits = sum(gen_model_graph(params, trial_rng(32, i), explicit_layers=True).edge_count()
-               for i in range(trials))
-    total = pairs * trials
-    sigma = math.sqrt(total * t * (1 - t))
-    assert abs(hits - total * t) < 4 * sigma
-
-
 def test_fixed_pair_indicator_chi_square():
     # one pair observed across independent graphs is Bernoulli(t)
     from scipy import stats
