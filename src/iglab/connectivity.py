@@ -14,13 +14,14 @@ needs no components pass.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .errors import InvalidParameterError, OracleRefusedError
-from .graph import GraphTopology, component_labels, min_degree
+from .graph import GraphTopology, _component_roots, component_labels, min_degree
 
 _BRUTE_FORCE_NODE_CAP = 16
 
@@ -214,10 +215,36 @@ def is_k_connected(g: GraphTopology, k: int) -> bool:
     k-1 nodes (equivalently kappa >= k)."""
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
-    if g.n < k + 1 or min_degree(g) < k:
+    degrees = np.diff(g.indptr)
+    return _k_connected(k, degrees, lambda: (np.repeat(np.arange(g.n), degrees), g.indices),
+                        lambda: g)
+
+
+def _edges_k_connected(n: int, edges: np.ndarray, k: int) -> bool:
+    """is_k_connected of the graph on nodes 0..n-1 whose edges are the
+    distinct rows (i, j), i < j, of `edges`, such as a trial's sampled
+    edges; its CSR is built only if Even's test runs."""
+    i, j = edges.T
+    return _k_connected(k, np.bincount(edges.ravel(), minlength=n),
+                        lambda: (np.concatenate((i, j)), np.concatenate((j, i))),
+                        lambda: GraphTopology(n, edges))
+
+
+def _k_connected(k: int, degrees: np.ndarray,
+                 arcs: Callable[[], tuple[np.ndarray, np.ndarray]],
+                 graph: Callable[[], GraphTopology]) -> bool:
+    """The decision of is_k_connected, k >= 1, for the graph whose node
+    degrees are `degrees`. arcs() gives arrays (u, v) that list every edge
+    once in each direction and graph() its GraphTopology; each is called
+    only when needed. The n > k check and the minimum-degree filter read
+    only the degrees, k = 1 only the arcs, and only Even's test, for
+    k >= 2, the graph."""
+    n = degrees.size
+    if n < k + 1 or degrees.min() < k:
         return False
     if k == 1:
-        return is_connected(g)
+        return not _component_roots(n, *arcs()).any()
+    g = graph()
     return _even_k_connected(g, _adjacency(g), k)
 
 

@@ -3,10 +3,12 @@
 Every loop over trials is one _map_trials call. A simulate or sweep run is a
 list of rows, one per sweep value, each built and checked before any trial;
 then the trials of every row run as one batch. The parent process runs
-trials itself and starts worker processes only once the mean trial time so
-far, times the trials left, says they would save more than their start-up
-cost; then it deals the trials left in turn to itself and to one pool, which
-lasts until the batch ends. Trial i of a row draws from
+trials itself and forks worker processes only once the mean trial time so
+far says that dealing the trials left over them would save more than their
+start-up cost; then it deals the trials left in turn to the workers and to
+itself, and each worker sends its records back through a pipe and exits.
+Workers are forked, so this needs os.fork (POSIX); elsewhere every trial
+runs in the parent. Trial i of a row draws from
 trial_rng(base_seed, *path, i) and records come back in index order, so
 results are bit-identical for any worker count and any schedule; aggregation
 is pure counting of the per-trial records.
@@ -16,17 +18,21 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NoReturn
 
 import numpy as np
 
-from .connectivity import is_k_connected, min_degree_at_least, survives_node_failures
+from .connectivity import _edges_k_connected, is_k_connected, min_degree_at_least
 from .errors import ContainmentViolationError, InvalidParameterError
 from .generators import (
     _check_expected_pairs,
+    _model_edges,
     gen_coupled_pair,
     gen_er,
     gen_model_graph,
@@ -50,25 +56,35 @@ _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 DOMINANCE_SLACK = 0.02  # finite-n stand-in for the 1-o(1/ln n) factor
 
-# Wall time, in seconds, that starting the worker processes adds to a run:
-# the break-even _map_trials weighs a pool's saving against. Measured on 2
-# CPUs (Python 3.11, numpy 2.4, scipy 1.17): a `simulate` CLI call of four
-# near-free trials at --workers 2 took a median 25 ms with a pool of one
-# worker forced and 9 ms serial (40 alternated pairs). Alone, with numpy and
-# scipy loaded, ProcessPoolExecutor start + one map + shutdown took 7 ms for
-# one worker and 13.5 ms for two, and a bare fork + waitpid 4 ms.
-_POOL_START_S = 0.016
+# Wall time, in seconds, that forking the worker processes adds to a run: the
+# break-even _map_trials weighs their saving against. Measured on 2 CPUs
+# (Python 3.11, numpy 2.4, scipy 1.17): a `simulate` CLI call of four
+# near-free trials at --workers 2 took a median 6.0-6.6 ms with one worker
+# forced and 1.5-1.6 ms serial (three runs of 40 alternated pairs). Alone,
+# with numpy and scipy loaded, _map_trials of two near-free trials took
+# 2.3-2.5 ms with the worker forced.
+_POOL_START_S = 0.005
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (a cpuset-limited container may see more CPUs than it may use),
+    else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def resolve_workers(workers: int | None, trials: int) -> int:
     """Most processes, the parent included, that a run of `trials` trials
-    may use: `workers` if given, else RG_LAB_THREADS if set, else the CPU
-    count, and never more than one per trial or per CPU. A given count or
-    RG_LAB_THREADS must be an integer >= 1."""
+    may use: `workers` if given, else RG_LAB_THREADS if set, else the usable
+    CPUs, and never more than one per trial or per usable CPU. A given count
+    or RG_LAB_THREADS must be an integer >= 1. Workers are forked, so where
+    os.fork does not exist the count is always 1."""
     if workers is None:
         env = os.environ.get(WORKERS_ENV_VAR)
         try:
-            workers = int(env) if env else os.cpu_count() or 1
+            workers = int(env) if env else _usable_cpus()
         except ValueError:
             workers = 0
         if workers < 1:
@@ -76,7 +92,9 @@ def resolve_workers(workers: int | None, trials: int) -> int:
                 f"{WORKERS_ENV_VAR} must be an integer >= 1, got {env!r}")
     elif workers < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
-    return min(workers, trials, os.cpu_count() or 1)
+    if not hasattr(os, "fork"):
+        return 1
+    return min(workers, trials, _usable_cpus())
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -149,8 +167,47 @@ class ExperimentResult:
         }
 
 
-def _trial_chunk(trial, indices: range) -> list:
-    return [trial(i) for i in indices]
+class _RemoteTraceback(Exception):
+    """The formatted traceback of an exception raised in a worker process,
+    chained as the __cause__ of that exception when the parent re-raises it."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+def _run_dealt(trial, indices: range, pipe: int) -> NoReturn:
+    """The whole life of a forked worker: run trial(i) for each dealt index,
+    write one pickle to `pipe` and leave by os._exit, so that nothing the
+    parent set up (atexit hooks, buffered output, a test runner) runs twice.
+    The pickle is (records, None, None), or (None, exception, traceback) when
+    a trial raised; an exception that does not pickle is sent as its repr."""
+    code = 1
+    try:
+        try:
+            data = pickle.dumps(([trial(i) for i in indices], None, None))
+        except BaseException as exc:
+            tb = traceback.format_exc()
+            try:
+                data = pickle.dumps((None, exc, tb))
+            except Exception:
+                data = pickle.dumps((None, RuntimeError(repr(exc)), tb))
+        with open(pipe, "wb") as out:
+            out.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _collect(pid: int, data: bytes, status: int) -> list:
+    """The records that worker pid wrote, or its exception raised again."""
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        how = f"exited with status {code}" if code > 0 else f"was killed by signal {-code}"
+        raise RuntimeError(f"worker process {pid} {how} before it returned its trials")
+    records, exc, tb = pickle.loads(data)
+    if exc is not None:
+        raise exc from _RemoteTraceback(tb)
+    return records
 
 
 def _map_trials(trial, trials: int, workers: int | None) -> list:
@@ -158,44 +215,69 @@ def _map_trials(trial, trials: int, workers: int | None) -> list:
     resolve_workers(workers, trials).
 
     The parent runs trials itself, in index order, until the mean trial time
-    times the trials left says that w processes would save more than
-    _POOL_START_S: mean * left * (w - 1) / w > _POOL_START_S, checked after
-    every trial. It then starts one pool of w - 1 worker processes and deals
-    the trials left in turn: process r of w (the parent is 0) takes every
-    w-th of them from the r-th on. The pool is shut down before the call
-    returns, also when a trial raises. `trial` derives its streams from the
-    index and must pickle: a module-level function or a functools.partial
-    of one."""
+    says that dealing the trials left over w processes would save more than
+    _POOL_START_S: mean * (left - ceil(left / w)) > _POOL_START_S, checked
+    after every trial, so a last trial never forks. It then forks w - 1
+    workers and deals the trials left in turn: process r of w takes every
+    w-th of them from the r-th on. Workers are processes 0 .. w - 2; the
+    parent, which ran the first trials alone, is process w - 1, the one with
+    no more trials than any other. Each worker sends its records, or its
+    exception, back through its own pipe. The parent reads every pipe and
+    reaps every worker; when a trial raises or a worker dies, every worker
+    still running is killed and reaped before the error leaves. `trial`
+    derives its streams from the index; it is never pickled, only its
+    records are."""
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
     workers = resolve_workers(workers, trials)
     records, started = [], time.perf_counter()
     while len(records) < trials:
         records.append(trial(len(records)))
-        done = len(records)
-        mean = (time.perf_counter() - started) / done
-        if mean * (trials - done) * (workers - 1) / workers > _POOL_START_S:
+        left = trials - len(records)
+        mean = (time.perf_counter() - started) / len(records)
+        if mean * (left - math.ceil(left / workers)) > _POOL_START_S:
             break
     first = len(records)
     if first == trials:
         return records
     records += [None] * (trials - first)
-    pool = ProcessPoolExecutor(max_workers=workers - 1)
+    workers = min(workers, trials - first)
+    children = []  # (pid, read end of its pipe) of each worker not yet reaped
     try:
-        dealt = [pool.submit(_trial_chunk, trial, range(first + r, trials, workers))
-                 for r in range(1, workers)]
-        records[first::workers] = _trial_chunk(trial, range(first, trials, workers))
-        for r, chunk in enumerate(dealt, 1):
-            records[first + r::workers] = chunk.result()
+        for r in range(workers - 1):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                os.close(read)
+                _run_dealt(trial, range(first + r, trials, workers), write)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        own = range(first + workers - 1, trials, workers)
+        records[own.start::workers] = [trial(i) for i in own]
+        for r in range(workers - 1):
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            records[first + r::workers] = _collect(pid, data, status)
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return records
 
 
 def _resilience_trial(rows: tuple, trials: int, base_seed: int, t: int) -> bool:
     params, m, path = rows[t // trials]
     rng = trial_rng(base_seed, *path, t % trials)
-    return survives_node_failures(gen_model_graph(params, rng), m)
+    return _edges_k_connected(params.n, _model_edges(params, rng), m + 1)
 
 
 def _run_rows(cfg: ExperimentConfig, rows: list, workers: int | None,

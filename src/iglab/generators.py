@@ -127,9 +127,17 @@ def gen_object_rings_uniform(n: int, K: int, P: int,
         raise InvalidParameterError(f"n must be non-negative, got {n}")
     if K / P <= _REJECTION_DENSITY_CUTOFF and K * (K - 1) <= 2 * P:
         # iid draws conditioned on all-distinct rows == uniform K-subset;
-        # only the rows just redrawn can still repeat an object
-        mat = np.empty((n, K), dtype=np.int64)
-        redraw = np.arange(n)
+        # only the rows just redrawn can still repeat an object. Sorted rows
+        # repeat one where the flat matrix equals itself shifted by one, at
+        # any offset but a row's last. (np.unique would find the rows too,
+        # but its first call imports numpy.ma, ~1 MB of resident memory.)
+        mat = rng.integers(0, P, size=(n, K), dtype=np.int64)
+        mat.sort(axis=1)
+        flat = mat.ravel()
+        same = np.flatnonzero(flat[1:] == flat[:-1])
+        repeats = np.zeros(n, dtype=bool)
+        repeats[same[same % K != K - 1] // K] = True
+        redraw = np.flatnonzero(repeats)
         while redraw.size:
             mat[redraw] = np.sort(rng.integers(0, P, size=(redraw.size, K), dtype=np.int64), axis=1)
             drawn = mat[redraw]
@@ -155,7 +163,21 @@ def gen_object_rings_binomial(n: int, x: float, P: int,
 # -- overlap graph ---------------------------------------------------------
 
 def _pairs_from_rings(assign: ObjectAssignment, d: int) -> np.ndarray:
-    """(E, 2) int64 array of node pairs whose rings share >= d objects, i < j.
+    """(E, 2) int64 array of node pairs whose rings share >= d objects, i < j,
+    in ascending order."""
+    return _split_keys(_overlap_keys(assign, d), assign.node_count)
+
+
+def _split_keys(keys: np.ndarray, n: int) -> np.ndarray:
+    """The pairs (key // n, key % n) of the keys, as an (E, 2) int64 array."""
+    pairs = np.empty((keys.size, 2), dtype=np.int64)
+    np.divmod(keys, n, out=(pairs[:, 0], pairs[:, 1]))
+    return pairs
+
+
+def _overlap_keys(assign: ObjectAssignment, d: int) -> np.ndarray:
+    """Sorted keys i * n + j, i < j, of the node pairs whose rings share >= d
+    objects; int32 when every key fits, else int64.
 
     Inverted-index counting: one sort of the keys obj * n + node groups the
     ring memberships by object, with node ids ascending inside each object.
@@ -168,7 +190,7 @@ def _pairs_from_rings(assign: ObjectAssignment, d: int) -> np.ndarray:
     objects, lens = _ring_members(assign)
     n, P = lens.size, assign.pool_size
     if objects.size == 0 or n < 2:
-        return np.empty((0, 2), dtype=np.int64)
+        return np.empty(0, dtype=np.int64)
     counts = np.bincount(objects, minlength=P)
     pair_keys = int((counts * (counts - 1) // 2).sum())
     if pair_keys > _PAIR_KEY_BUDGET:
@@ -179,11 +201,11 @@ def _pairs_from_rings(assign: ObjectAssignment, d: int) -> np.ndarray:
     # pair_keys; int32 halves the bytes each sort moves
     key = np.int32 if max(n * max(n, P), pair_keys) <= 1 << 31 else np.int64
     members = np.sort(objects.astype(key, copy=False) * n
-                      + np.repeat(np.arange(n, dtype=key), lens)) % n
-    keep = keys_seen_at_least(_member_pair_keys(members, counts, n, pair_keys), d)
-    pairs = np.empty((keep.size, 2), dtype=np.int64)
-    np.divmod(keep, n, out=(pairs[:, 0], pairs[:, 1]))
-    return pairs
+                      + np.repeat(np.arange(n, dtype=key), lens))
+    # the member nodes, key % n: numpy's integer % by a scalar takes several
+    # times as long as a floor division, a multiply and a subtraction
+    members -= members // n * n
+    return keys_seen_at_least(_member_pair_keys(members, counts, n, pair_keys), d)
 
 
 def _member_pair_keys(members: np.ndarray, counts: np.ndarray, n: int,
@@ -289,15 +311,21 @@ def gen_er(n: int, p: float, rng: np.random.Generator) -> GraphTopology:
 def gen_model_graph(params: ModelParams, rng: np.random.Generator) -> GraphTopology:
     """Sample the composed model: d-overlap graph thinned by friendship and
     link survival, i.e. distributed as G_d(n,K,P) intersected with an
-    Erdos-Renyi layer at p = f*g. Only the overlap edges are thinned: the
-    intersection never looks at other pairs.
-    """
+    Erdos-Renyi layer at p = f*g."""
+    return GraphTopology(params.n, _model_edges(params, rng))
+
+
+def _model_edges(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
+    """The edges of a gen_model_graph draw, as the sorted (E, 2) int64 array
+    of its pairs (i, j), i < j. Only the overlap edges are thinned, the
+    intersection never looks at other pairs, and they are thinned as keys,
+    before they are split into pairs."""
     n, K, P = params.n, params.K, params.P
     _check_expected_pairs(n, K, P)
-    pairs = _pairs_from_rings(gen_object_rings_uniform(n, K, P, rng), params.d)
+    keys = _overlap_keys(gen_object_rings_uniform(n, K, P, rng), params.d)
     if params.p < 1.0:
-        pairs = pairs[rng.random(len(pairs)) < params.p]
-    return GraphTopology(n, pairs)
+        keys = keys[rng.random(keys.size) < params.p]
+    return _split_keys(keys, n)
 
 
 # -- multiset edge graphs ----------------------------------------------------

@@ -132,16 +132,24 @@ def degree_histogram(g: GraphTopology) -> dict[int, int]:
 
 def component_labels(g: GraphTopology) -> tuple[int, np.ndarray]:
     """(number of components, component label of each node), labels numbered
-    in order of each component's smallest node.
+    in order of each component's smallest node."""
+    roots = _component_roots(g.n, np.repeat(np.arange(g.n), np.diff(g.indptr)), g.indices)
+    smallest = roots == np.arange(g.n)
+    return int(smallest.sum()), (np.cumsum(smallest) - 1)[roots]
+
+
+def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The smallest node of each node's component, over the arcs (u[a], v[a])
+    of a graph on nodes 0..n-1 that list every edge in both directions.
 
     FastSV hooking (Zhang, Azad & Hu, SIAM PP 2020): each round hooks both
-    f[u] and u onto the smaller grandparent f[f[v]] across every edge (u, v),
+    f[u] and u onto the smaller grandparent f[f[v]] across every arc (u, v),
     then jumps every node to its grandparent. Since f[x] <= x throughout, an
     edge whose ends' grandparents differ lowers one of them, so once no
     grandparent changes they are equal on every component and equal to its
     smallest node. Rounds grow about like log n, not like the diameter.
     """
-    u, v, f = np.repeat(np.arange(g.n), np.diff(g.indptr)), g.indices, np.arange(g.n)
+    f = np.arange(n)
     gf = f.copy()
     while True:
         gv = gf[v]
@@ -150,9 +158,7 @@ def component_labels(g: GraphTopology) -> tuple[int, np.ndarray]:
         f = f[f]
         gf, last = f[f], gf
         if np.array_equal(gf, last):
-            break
-    smallest = gf == np.arange(g.n)
-    return int(smallest.sum()), (np.cumsum(smallest) - 1)[gf]
+            return gf
 
 
 def connected_components(g: GraphTopology) -> list[set[int]]:

@@ -209,7 +209,7 @@ def test_negative_seed_is_a_validation_error(tmp_path, capsys, command):
 def test_manifest_records_workers_used(tmp_path, capsys, monkeypatch):
     # three from the environment, capped at one worker per trial
     monkeypatch.setenv("RG_LAB_THREADS", "3")
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)  # not by this host's CPUs
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)  # not by this host's CPUs
     out = tmp_path / "run.csv"
     assert run_cli(*SMALL_RUNS["simulate"], "--out", out) == 0
     manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
@@ -280,14 +280,14 @@ def test_sweep_rerun_is_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_csv_does_not_depend_on_the_schedule(tmp_path, monkeypatch, command):
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     argv = {"simulate": ("simulate", "-n", 60, "-K", 3, "-P", 15, "-d", 1,
                          "-g", 0.8, "--trials", 9, "--seed", 4),
             "sweep": ("sweep", "-n", 60, "-K", 3, "-P", 15, "-d", 1,
                       "--axis", "g", "--values", "0.5,0.9",
                       "--trials", 9, "--seed", 4)}[command]
     csvs = []
-    for start_s in (math.inf, 0.0):  # forced serial, then a pool at once
+    for start_s in (math.inf, 0.0):  # forced serial, then workers at once
         monkeypatch.setattr(experiments, "_POOL_START_S", start_s)
         out = tmp_path / f"{start_s}.csv"
         assert run_cli(*argv, "--workers", 2, "--out", out) == 0
@@ -390,9 +390,9 @@ def test_verify_coupling_takes_no_thinning_flags(capsys, flag):
     assert exc.value.code == 2
 
 
-# With two workers the violation is raised in a worker process and has to
-# cross the process boundary. Workers start by fork, Linux's default start
-# method, so they see the patched sampler.
+# With two workers the violation may be raised in a worker process and then
+# has to cross the process boundary. Workers are forked, so they see the
+# patched sampler.
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_containment_violation_is_raised_and_exits_4(monkeypatch, capsys, threads):
     monkeypatch.setenv("RG_LAB_THREADS", threads)
@@ -409,10 +409,10 @@ def test_containment_violation_is_raised_and_exits_4(monkeypatch, capsys, thread
 
 
 def test_containment_violation_in_a_worker_names_its_trial(monkeypatch, capsys):
-    # The parent runs trial 0, then the pool starts: with 3 trials and two
-    # processes the parent takes trial 1 and the worker trial 2.
+    # The parent runs trial 0, then forks: with 3 trials and two processes
+    # the worker takes trial 1 and the parent, in the last slot, trial 2.
     monkeypatch.setenv("RG_LAB_THREADS", "2")
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(experiments, "_POOL_START_S", 0.0)
     good = CoupledPair(h=GraphTopology(4, [(0, 1)]), g=GraphTopology(4, [(0, 1)]),
                        coupling_valid=True, x=0.1)
@@ -421,8 +421,8 @@ def test_containment_violation_in_a_worker_names_its_trial(monkeypatch, capsys):
                          coupling_valid=True, x=0.1)
     monkeypatch.setattr(experiments, "trial_rng", lambda base_seed, i: i)
     monkeypatch.setattr(experiments, "gen_coupled_pair",
-                        lambda n, K, P, d, i: broken if i == 2 else good)
-    with pytest.raises(ContainmentViolationError, match="valid trial 2$") as exc:
+                        lambda n, K, P, d, i: broken if i == 1 else good)
+    with pytest.raises(ContainmentViolationError, match="valid trial 1$") as exc:
         experiments.coupling_validity_rate(4, 50, 500, 2, trials=3)
     assert type(exc.value.__cause__).__name__ == "_RemoteTraceback"
     assert run_cli("verify", "coupling", "-n", 200, "-K", 50, "-P", 500,

@@ -1,13 +1,14 @@
 import math
-import multiprocessing
 import operator
+import os
+import signal
 from functools import partial
 
 import numpy as np
 import pytest
 
 from iglab import experiments
-from iglab.connectivity import is_connected
+from iglab.connectivity import is_connected, survives_node_failures
 from iglab.errors import InvalidParameterError
 from iglab.experiments import (
     ExperimentConfig,
@@ -19,7 +20,8 @@ from iglab.experiments import (
     sweep_experiment,
     wilson_interval,
 )
-from iglab.generators import gen_model_graph, trial_rng
+from iglab.generators import _model_edges, gen_model_graph, trial_rng
+from iglab.graph import _component_roots, connected_components, min_degree
 from iglab.theory import ModelParams, alpha_from_params, poisson_pmf, predicted_limit_prob
 
 
@@ -69,39 +71,65 @@ def test_worker_count_does_not_change_results():
 
 def test_worker_count_is_capped_at_cpus_and_trials(monkeypatch):
     # a huge count would fork that many processes at the first map
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
     assert experiments.resolve_workers(10 ** 6, 10 ** 6) == 3
     assert experiments.resolve_workers(8, 2) == 2
     monkeypatch.setenv("RG_LAB_THREADS", str(10 ** 6))
     assert experiments.resolve_workers(None, 10 ** 6) == 3
     monkeypatch.delenv("RG_LAB_THREADS")
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
     assert experiments.resolve_workers(None, 10) == 1
     assert experiments.resolve_workers(4, 10) == 1
 
 
-def _count_pools(monkeypatch) -> list:
-    """Record every ProcessPoolExecutor that experiments constructs."""
-    pools = []
+def test_worker_count_follows_the_cpus_this_process_may_use(monkeypatch):
+    # a cpuset-limited container counts the host's CPUs but may run on fewer
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0})
+    assert experiments.resolve_workers(None, 10) == 1
+    assert experiments.resolve_workers(4, 10) == 1
+    monkeypatch.delattr(experiments.os, "sched_getaffinity")
+    assert experiments.resolve_workers(None, 10) == 4
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    assert experiments.resolve_workers(None, 10) == 1
 
-    class CountingPool(experiments.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(self)
-            super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
-    return pools
+def test_worker_count_is_one_without_fork(monkeypatch):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
+    monkeypatch.delattr(experiments.os, "fork")
+    assert experiments.resolve_workers(None, 10) == 1
+    assert experiments.resolve_workers(4, 10) == 1
+    with pytest.raises(InvalidParameterError):
+        experiments.resolve_workers(0, 10)
+
+
+def _count_forks(monkeypatch) -> list:
+    """Record the pid of every worker that experiments forks."""
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        forks.append(pid)  # in the worker itself, a copy of the list gets 0
+        return pid
+
+    monkeypatch.setattr(experiments.os, "fork", counting_fork)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_sweep_points_share_one_pool(monkeypatch):
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)  # a pool even on one CPU
-    monkeypatch.setattr(experiments, "_POOL_START_S", 0.0)  # a pool for any trial cost
-    pools = _count_pools(monkeypatch)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)  # workers even on one CPU
+    monkeypatch.setattr(experiments, "_POOL_START_S", 0.0)  # workers for any trial cost
+    forks = _count_forks(monkeypatch)
     cfg = ExperimentConfig(params=ModelParams(n=60, K=4, P=20, d=2, f=0.9, g=0.9),
                            m=0, trials=12, base_seed=5,
                            sweep=("g", (0.5, 0.7, 0.9)))
     rows = sweep_experiment(cfg, workers=2)
-    assert len(pools) == 1
+    assert len(forks) == 1
     serial = sweep_experiment(cfg, workers=1)
     assert [r.successes for r in rows] == [r.successes for r in serial]
 
@@ -118,37 +146,77 @@ def _fail_at(bad: int, i: int) -> int:
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_trial_map_does_not_depend_on_the_schedule(monkeypatch, workers):
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
     params = ModelParams(n=60, K=4, P=20, d=2, f=0.9, g=0.9)
     trials = (operator.neg, partial(experiments._degree_trial, params, (0, 1, 2), 5))
     monkeypatch.setattr(experiments, "_POOL_START_S", math.inf)
     serial = [_map_all(workers, 7, trial) for trial in trials]
     assert serial[0] == [-i for i in range(7)]
     monkeypatch.setattr(experiments, "_POOL_START_S", 0.0)
-    pools = _count_pools(monkeypatch)
+    forks = _count_forks(monkeypatch)
     assert [_map_all(workers, 7, trial) for trial in trials] == serial
-    assert [p._max_workers for p in pools] == [workers - 1] * 2
+    assert len(forks) == 2 * (workers - 1)
 
 
 def test_cheap_trials_start_no_pool(monkeypatch):
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
-    pools = _count_pools(monkeypatch)
-    # ~1 ms a trial: a pool would pay only if the first trial took > 32 ms
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    forks = _count_forks(monkeypatch)
+    # ~1 ms a trial: a worker would pay only if the first trial took > 5 ms
     cfg = ExperimentConfig(params=ModelParams(n=10, K=2, P=6, d=1, f=1.0, g=1.0),
-                           m=0, trials=2, base_seed=5)
+                           m=0, trials=3, base_seed=5)
     run_resilience_trials(cfg, workers=2)
-    assert pools == []
+    assert forks == []
 
 
-@pytest.mark.parametrize("bad", [1, 5])  # in the parent's chunk, in a worker's
-def test_no_worker_outlives_a_failed_trial(monkeypatch, bad):
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+def test_no_worker_is_forked_that_could_not_save_time(monkeypatch):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(experiments, "_POOL_START_S", 0.0)
-    pools = _count_pools(monkeypatch)
-    with pytest.raises(ValueError, match=f"trial {bad} failed"):
+    forks = _count_forks(monkeypatch)
+    # one trial left runs in the parent as fast as in a worker
+    assert _map_all(4, 2, operator.neg) == [0, -1]
+    assert forks == []
+    # two trials left: one worker, not one per process the run may use
+    assert _map_all(4, 3, operator.neg) == [0, -1, -2]
+    assert len(forks) == 1
+
+
+# The parent runs trial 0 alone, then the worker takes trials 1, 3, 5 and the
+# parent, in the last slot, trials 2, 4.
+@pytest.mark.parametrize("bad", [1, 2])  # in a worker's slot, in the parent's
+def test_no_worker_outlives_a_failed_trial(monkeypatch, bad):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(experiments, "_POOL_START_S", 0.0)
+    forks = _count_forks(monkeypatch)
+    with pytest.raises(ValueError, match=f"trial {bad} failed") as exc:
         _map_all(2, 6, partial(_fail_at, bad))
-    assert len(pools) == 1
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 1
+    assert (type(exc.value.__cause__).__name__ == "_RemoteTraceback") == (bad == 1)
+    _assert_no_child_left()
+
+
+def _exit_in_a_worker(bad: int, parent: int, i: int) -> int:
+    if i == bad:
+        assert os.getpid() != parent, f"trial {i} ran in the parent"
+        os._exit(3)
+    return i
+
+
+def test_a_worker_that_exits_is_named_and_reaped(monkeypatch):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(experiments, "_POOL_START_S", 0.0)
+
+    def hung(signum, frame):
+        raise TimeoutError("_map_trials still waits on a worker that exited")
+
+    before = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 30.0)
+    try:
+        with pytest.raises(RuntimeError, match="exited with status 3"):
+            _map_all(2, 6, partial(_exit_in_a_worker, 3, os.getpid()))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, before)
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("axis, values", [
@@ -161,9 +229,9 @@ def test_sweep_refuses_a_bad_row_before_any_trial(monkeypatch, axis, values):
 
     def counting(params, rng):
         calls.append(params)
-        return gen_model_graph(params, rng)
+        return _model_edges(params, rng)
 
-    monkeypatch.setattr(experiments, "gen_model_graph", counting)
+    monkeypatch.setattr(experiments, "_model_edges", counting)
     cfg = ExperimentConfig(params=ModelParams(n=200, K=4, P=30, d=1, f=1.0, g=0.5),
                            m=0, trials=50, base_seed=1, sweep=(axis, values))
     with pytest.raises(InvalidParameterError):
@@ -204,6 +272,25 @@ def test_m_zero_matches_plain_connectivity():
         for i in range(cfg.trials)
     )
     assert res.successes == direct
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_resilience_trial_matches_the_public_decision(m):
+    # the trial decides on its sampled edge array; on these sparse models some
+    # graphs pass the min-degree filter and still are not (m + 1)-connected
+    gaps = 0
+    for params in (ModelParams(n=20, K=4, P=80, d=1, f=1.0, g=1.0),
+                   ModelParams(n=12, K=3, P=20, d=1, f=1.0, g=1.0)):
+        rows = ((params, m, ()),)
+        for i in range(100):
+            g = gen_model_graph(params, trial_rng(7, i))
+            verdict = survives_node_failures(g, m)
+            assert experiments._resilience_trial(rows, 100, 7, i) == verdict
+            gaps += min_degree(g) > m and not verdict
+            a, b = _model_edges(params, trial_rng(7, i)).T
+            roots = _component_roots(g.n, np.concatenate((a, b)), np.concatenate((b, a)))
+            assert (roots == np.arange(g.n)).sum() == len(connected_components(g))
+    assert gaps > 0
 
 
 def test_sweep_rows_carry_per_point_predictions():
