@@ -194,14 +194,18 @@ def test_no_worker_outlives_a_failed_trial(monkeypatch, bad):
     _assert_no_child_left()
 
 
-def _exit_in_a_worker(bad: int, parent: int, i: int) -> int:
+def _die_in_a_worker(bad: int, parent: int, i: int) -> int:
     if i == bad:
         assert os.getpid() != parent, f"trial {i} ran in the parent"
-        os._exit(3)
+        if bad == 3:
+            os._exit(3)
+        os.kill(os.getpid(), signal.SIGKILL)
     return i
 
 
-def test_a_worker_that_exits_is_named_and_reaped(monkeypatch):
+@pytest.mark.parametrize("bad, reported", [(3, "exited with status 3"),
+                                           (5, "was killed by signal 9")])
+def test_a_worker_that_exits_is_named_and_reaped(monkeypatch, bad, reported):
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(experiments, "_POOL_START_S", 0.0)
 
@@ -211,8 +215,8 @@ def test_a_worker_that_exits_is_named_and_reaped(monkeypatch):
     before = signal.signal(signal.SIGALRM, hung)
     signal.setitimer(signal.ITIMER_REAL, 30.0)
     try:
-        with pytest.raises(RuntimeError, match="exited with status 3"):
-            _map_all(2, 6, partial(_exit_in_a_worker, 3, os.getpid()))
+        with pytest.raises(RuntimeError, match=reported):
+            _map_all(2, 6, partial(_die_in_a_worker, bad, os.getpid()))
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, before)
