@@ -19,11 +19,12 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import select
 import signal
 import time
 import traceback
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import NoReturn
 
 import numpy as np
@@ -63,7 +64,7 @@ DOMINANCE_SLACK = 0.02  # finite-n stand-in for the 1-o(1/ln n) factor
 # forced and 1.5-1.6 ms serial (three runs of 40 alternated pairs). Alone,
 # with numpy and scipy loaded, _map_trials of two near-free trials took
 # 2.3-2.5 ms with the worker forced.
-_POOL_START_S = 0.005
+_FORK_START_S = 0.005
 
 
 def _usable_cpus() -> int:
@@ -198,6 +199,29 @@ def _run_dealt(trial, indices: range, pipe: int) -> NoReturn:
         os._exit(code)
 
 
+@cache
+def _keep_freed_memory() -> None:
+    """Have glibc's malloc keep up to 64 MiB of freed heap in this process
+    (M_TRIM_THRESHOLD) and take every block below 32 MiB from the heap
+    (M_MMAP_THRESHOLD), once per process; forked workers inherit both.
+    These are the ceilings that glibc's own dynamic rule can reach: 32 MiB is
+    its DEFAULT_MMAP_THRESHOLD_MAX on 64-bit, and the trim threshold it sets
+    is twice the mmap threshold. Left to that rule, the thresholds follow the
+    largest block freed so far, about 1 MB at n = 2000, so the heap shrank
+    at the end of every trial and the next trial took about 500 minor page
+    faults to grow it again; with the ceilings a trial reuses the heap the
+    one before it left. Where libc has no mallopt (macOS, Windows) this does
+    nothing. No result depends on it."""
+    import ctypes  # here, not at import: numpy has loaded it by the first trial
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    except (OSError, AttributeError, TypeError):
+        pass
+
+
 def _collect(pid: int, data: bytes, status: int) -> list:
     """The records that worker pid wrote, or its exception raised again."""
     code = os.waitstatus_to_exitcode(status)
@@ -216,33 +240,48 @@ def _map_trials(trial, trials: int, workers: int | None) -> list:
 
     The parent runs trials itself, in index order, until the mean trial time
     says that dealing the trials left over w processes would save more than
-    _POOL_START_S: mean * (left - ceil(left / w)) > _POOL_START_S, checked
+    _FORK_START_S: mean * (left - ceil(left / w)) > _FORK_START_S, checked
     after every trial, so a last trial never forks. It then forks w - 1
     workers and deals the trials left in turn: process r of w takes every
     w-th of them from the r-th on. Workers are processes 0 .. w - 2; the
     parent, which ran the first trials alone, is process w - 1, the one with
     no more trials than any other. Each worker sends its records, or its
-    exception, back through its own pipe. The parent reads every pipe and
-    reaps every worker; when a trial raises or a worker dies, every worker
-    still running is killed and reaped before the error leaves. `trial`
-    derives its streams from the index; it is never pickled, only its
-    records are."""
+    exception, back through its own pipe. After each of its own trials the
+    parent polls the pipes and reads and reaps every worker that has
+    finished, so a trial that raises in a worker, or a worker that dies, is
+    reported at the parent's next trial boundary; then it reads and reaps the
+    rest. When a trial raises or a worker dies, every worker still running is
+    killed and reaped before the error leaves. `trial` derives its streams
+    from the index; it is never pickled, only its records are. Every call
+    first has malloc keep its freed heap (_keep_freed_memory)."""
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
+    _keep_freed_memory()
     workers = resolve_workers(workers, trials)
     records, started = [], time.perf_counter()
     while len(records) < trials:
         records.append(trial(len(records)))
         left = trials - len(records)
         mean = (time.perf_counter() - started) / len(records)
-        if mean * (left - math.ceil(left / workers)) > _POOL_START_S:
+        if mean * (left - math.ceil(left / workers)) > _FORK_START_S:
             break
     first = len(records)
     if first == trials:
         return records
     records += [None] * (trials - first)
     workers = min(workers, trials - first)
-    children = []  # (pid, read end of its pipe) of each worker not yet reaped
+    children = {}  # read end -> (its pipe, pid, slot) of each worker not yet reaped
+    finished = select.poll()  # not select.select, which refuses descriptors >= 1024
+
+    def reap(read: int) -> None:
+        pipe, pid, r = children[read]
+        finished.unregister(read)
+        with pipe:
+            data = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        del children[read]
+        records[first + r::workers] = _collect(pid, data, status)
+
     try:
         for r in range(workers - 1):
             read, write = os.pipe()
@@ -256,18 +295,16 @@ def _map_trials(trial, trials: int, workers: int | None) -> list:
                 os.close(read)
                 _run_dealt(trial, range(first + r, trials, workers), write)
             os.close(write)
-            children.append((pid, open(read, "rb")))
-        own = range(first + workers - 1, trials, workers)
-        records[own.start::workers] = [trial(i) for i in own]
-        for r in range(workers - 1):
-            pid, pipe = children[0]
-            with pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            del children[0]
-            records[first + r::workers] = _collect(pid, data, status)
+            children[read] = (open(read, "rb"), pid, r)
+            finished.register(read, select.POLLIN)
+        for i in range(first + workers - 1, trials, workers):
+            records[i] = trial(i)
+            for read, _ in finished.poll(0):
+                reap(read)
+        for read in list(children):
+            reap(read)
     finally:
-        for pid, pipe in children:
+        for pipe, pid, _ in children.values():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

@@ -288,7 +288,7 @@ def test_csv_does_not_depend_on_the_schedule(tmp_path, monkeypatch, command):
                       "--trials", 9, "--seed", 4)}[command]
     csvs = []
     for start_s in (math.inf, 0.0):  # forced serial, then workers at once
-        monkeypatch.setattr(experiments, "_POOL_START_S", start_s)
+        monkeypatch.setattr(experiments, "_FORK_START_S", start_s)
         out = tmp_path / f"{start_s}.csv"
         assert run_cli(*argv, "--workers", 2, "--out", out) == 0
         csvs.append(out.read_bytes())
@@ -413,7 +413,7 @@ def test_containment_violation_in_a_worker_names_its_trial(monkeypatch, capsys):
     # the worker takes trial 1 and the parent, in the last slot, trial 2.
     monkeypatch.setenv("RG_LAB_THREADS", "2")
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(experiments, "_POOL_START_S", 0.0)
+    monkeypatch.setattr(experiments, "_FORK_START_S", 0.0)
     good = CoupledPair(h=GraphTopology(4, [(0, 1)]), g=GraphTopology(4, [(0, 1)]),
                        coupling_valid=True, x=0.1)
     broken = CoupledPair(h=GraphTopology(4, [(0, 1), (2, 3)]),

@@ -1,7 +1,11 @@
+import ctypes
 import math
 import operator
 import os
 import signal
+import subprocess
+import sys
+import time
 from functools import partial
 
 import numpy as np
@@ -123,7 +127,7 @@ def _assert_no_child_left():
 
 def test_sweep_points_share_one_pool(monkeypatch):
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)  # workers even on one CPU
-    monkeypatch.setattr(experiments, "_POOL_START_S", 0.0)  # workers for any trial cost
+    monkeypatch.setattr(experiments, "_FORK_START_S", 0.0)  # workers for any trial cost
     forks = _count_forks(monkeypatch)
     cfg = ExperimentConfig(params=ModelParams(n=60, K=4, P=20, d=2, f=0.9, g=0.9),
                            m=0, trials=12, base_seed=5,
@@ -149,10 +153,10 @@ def test_trial_map_does_not_depend_on_the_schedule(monkeypatch, workers):
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
     params = ModelParams(n=60, K=4, P=20, d=2, f=0.9, g=0.9)
     trials = (operator.neg, partial(experiments._degree_trial, params, (0, 1, 2), 5))
-    monkeypatch.setattr(experiments, "_POOL_START_S", math.inf)
+    monkeypatch.setattr(experiments, "_FORK_START_S", math.inf)
     serial = [_map_all(workers, 7, trial) for trial in trials]
     assert serial[0] == [-i for i in range(7)]
-    monkeypatch.setattr(experiments, "_POOL_START_S", 0.0)
+    monkeypatch.setattr(experiments, "_FORK_START_S", 0.0)
     forks = _count_forks(monkeypatch)
     assert [_map_all(workers, 7, trial) for trial in trials] == serial
     assert len(forks) == 2 * (workers - 1)
@@ -170,7 +174,7 @@ def test_cheap_trials_start_no_pool(monkeypatch):
 
 def test_no_worker_is_forked_that_could_not_save_time(monkeypatch):
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
-    monkeypatch.setattr(experiments, "_POOL_START_S", 0.0)
+    monkeypatch.setattr(experiments, "_FORK_START_S", 0.0)
     forks = _count_forks(monkeypatch)
     # one trial left runs in the parent as fast as in a worker
     assert _map_all(4, 2, operator.neg) == [0, -1]
@@ -185,7 +189,7 @@ def test_no_worker_is_forked_that_could_not_save_time(monkeypatch):
 @pytest.mark.parametrize("bad", [1, 2])  # in a worker's slot, in the parent's
 def test_no_worker_outlives_a_failed_trial(monkeypatch, bad):
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(experiments, "_POOL_START_S", 0.0)
+    monkeypatch.setattr(experiments, "_FORK_START_S", 0.0)
     forks = _count_forks(monkeypatch)
     with pytest.raises(ValueError, match=f"trial {bad} failed") as exc:
         _map_all(2, 6, partial(_fail_at, bad))
@@ -207,7 +211,7 @@ def _die_in_a_worker(bad: int, parent: int, i: int) -> int:
                                            (5, "was killed by signal 9")])
 def test_a_worker_that_exits_is_named_and_reaped(monkeypatch, bad, reported):
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(experiments, "_POOL_START_S", 0.0)
+    monkeypatch.setattr(experiments, "_FORK_START_S", 0.0)
 
     def hung(signum, frame):
         raise TimeoutError("_map_trials still waits on a worker that exited")
@@ -221,6 +225,77 @@ def test_a_worker_that_exits_is_named_and_reaped(monkeypatch, bad, reported):
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, before)
     _assert_no_child_left()
+
+
+def _slow_fail_at(bad: int, ran: list, i: int) -> int:
+    time.sleep(0.05)
+    ran.append(i)  # a worker appends to its own copy of the list
+    if i == bad:
+        raise ValueError(f"trial {i} failed")
+    return i
+
+
+def test_a_failed_worker_is_reported_at_the_next_trial_boundary(monkeypatch):
+    # The parent runs trial 0, forks, and takes trials 2, 4, ..., 40 while
+    # the worker's first trial, 1, raises after 50 ms. Waiting for its whole
+    # share of 20 trials before it reads the pipe is a second lost.
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(experiments, "_FORK_START_S", 0.0)
+    ran = []
+    with pytest.raises(ValueError, match="trial 1 failed"):
+        _map_all(2, 42, partial(_slow_fail_at, 1, ran))
+    assert ran[0] == 0 and len(ran[1:]) <= 3, ran
+    _assert_no_child_left()
+
+
+def _libc_has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _libc_has_mallopt(), reason="libc has no mallopt")
+def test_trials_do_not_fault_their_memory_in_again():
+    # Left to glibc's dynamic thresholds, each n = 2000 trial handed its
+    # arrays back to the kernel and took about 545 minor page faults to get
+    # them again; a fresh interpreter, so no earlier test has set mallopt.
+    code = (
+        "import resource\n"
+        "from functools import partial\n"
+        "from iglab import experiments\n"
+        "from iglab.theory import ModelParams\n"
+        "params = ModelParams(n=2000, K=36, P=10000, d=2, f=1.0, g=0.5169849666)\n"
+        "trial = partial(experiments._resilience_trial, ((params, 0, ()),), 30, 4242)\n"
+        "experiments._map_trials(trial, 30, 1)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "experiments._map_trials(trial, 30, 1)\n"
+        "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 30)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code],
+                          timeout=120, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 100, f"{done.stdout.strip()} minor faults per trial"
+
+
+@pytest.mark.parametrize("libc", [
+    lambda name: object(),  # no mallopt (macOS)
+    lambda name: (_ for _ in ()).throw(OSError("no libc")),
+    lambda name: (_ for _ in ()).throw(TypeError("name must be a str")),  # Windows
+], ids=["no-mallopt", "OSError", "TypeError"])
+def test_trials_run_where_mallopt_cannot_be_found(monkeypatch, libc):
+    params = ModelParams(n=60, K=4, P=20, d=2, f=0.9, g=0.9)
+    trial = partial(experiments._resilience_trial, ((params, 0, ()),), 10, 5)
+    expected = _map_all(1, 10, trial)
+    lookups = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: lookups.append(name) or libc(name))
+    experiments._keep_freed_memory.cache_clear()
+    try:
+        assert _map_all(1, 10, trial) == expected
+        assert _map_all(1, 10, trial) == expected
+    finally:
+        experiments._keep_freed_memory.cache_clear()
+    assert lookups == [None]  # once per process
 
 
 @pytest.mark.parametrize("axis, values", [
