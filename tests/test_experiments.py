@@ -258,7 +258,7 @@ def _libc_has_mallopt() -> bool:
 @pytest.mark.skipif(not _libc_has_mallopt(), reason="libc has no mallopt")
 def test_trials_do_not_fault_their_memory_in_again():
     # Left to glibc's dynamic thresholds, each n = 2000 trial handed its
-    # arrays back to the kernel and took about 545 minor page faults to get
+    # arrays back to the kernel and took about 500 minor page faults to get
     # them again; a fresh interpreter, so no earlier test has set mallopt.
     code = (
         "import resource\n"
@@ -279,16 +279,23 @@ def test_trials_do_not_fault_their_memory_in_again():
 
 
 @pytest.mark.parametrize("libc", [
-    lambda name: object(),  # no mallopt (macOS)
-    lambda name: (_ for _ in ()).throw(OSError("no libc")),
-    lambda name: (_ for _ in ()).throw(TypeError("name must be a str")),  # Windows
+    object(),  # a libc without mallopt (macOS)
+    OSError("no C library"),
+    TypeError("name must be a str"),  # CDLL(None) on Windows
 ], ids=["no-mallopt", "OSError", "TypeError"])
 def test_trials_run_where_mallopt_cannot_be_found(monkeypatch, libc):
     params = ModelParams(n=60, K=4, P=20, d=2, f=0.9, g=0.9)
     trial = partial(experiments._resilience_trial, ((params, 0, ()),), 10, 5)
     expected = _map_all(1, 10, trial)
     lookups = []
-    monkeypatch.setattr(ctypes, "CDLL", lambda name: lookups.append(name) or libc(name))
+
+    def cdll(name):
+        lookups.append(name)
+        if isinstance(libc, Exception):
+            raise libc
+        return libc
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
     experiments._keep_freed_memory.cache_clear()
     try:
         assert _map_all(1, 10, trial) == expected
