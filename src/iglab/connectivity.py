@@ -6,10 +6,14 @@ connectivity (Menger) rather than by sampling. After the n > k and
 minimum-degree filters, k = 1 is decided by components and every k >= 2 by
 Even's test, which is exact for any node order. The order starts at a
 greedily grown (k+1)-clique and is placed in rounds: each round takes every
-node that already has k placed neighbours, and only a stall runs an
+node that already has k placed neighbours, and only a stall searches. A
+stalled node with k - 1 placed neighbours needs one more path, found by one
+breadth-first search through the unplaced nodes; one with fewer runs an
 early-exit augmenting-path search over the graph's own CSR adjacency,
 node-split only implicitly. A disconnected graph fails a check, so k >= 2
-needs no components pass.
+needs no components pass. Even's test takes the CSR arrays: GraphTopology's
+own, or, for a trial's sampled edge array, ones built from it with one sort
+through the helper the GraphTopology constructor uses.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InvalidParameterError, OracleRefusedError
-from .graph import GraphTopology, _component_roots, component_labels, min_degree
+from .graph import GraphTopology, _component_roots, _csr, component_labels, min_degree
 
 _BRUTE_FORCE_NODE_CAP = 16
 
@@ -62,10 +66,10 @@ def remove_nodes(g: GraphTopology, victims) -> GraphTopology:
     return GraphTopology(g.n - len(victims), relabel[pairs[alive[pairs].all(axis=1)]])
 
 
-def _adjacency(g: GraphTopology) -> list[list[int]]:
+def _adjacency(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:
     """The CSR rows as Python lists, for the searches that walk them."""
-    indptr, indices = g.indptr.tolist(), g.indices.tolist()
-    return [indices[indptr[u]:indptr[u + 1]] for u in range(g.n)]
+    indptr, indices = indptr.tolist(), indices.tolist()
+    return [indices[indptr[u]:indptr[u + 1]] for u in range(len(indptr) - 1)]
 
 
 # -- k >= 2: Even's test, placing the nodes in rounds ----------------------
@@ -129,6 +133,34 @@ def _has_k_paths(adj: list[list[int]], k: int, t: int, source: set[int]) -> bool
     return True
 
 
+def _has_kth_path(adj: list[list[int]], t: int, placed: set[int]) -> bool:
+    """_has_k_paths(adj, k, t, placed) for a node t outside `placed` with
+    exactly k - 1 neighbours in it: True iff a path leads from t through
+    nodes outside `placed` to a node of `placed` that is not t's neighbour.
+
+    Given k paths from distinct placed nodes to t, sharing no node but t,
+    cut each at the last placed node before t. The pieces still share no
+    node but t and start at distinct placed nodes, and no placed node lies
+    inside one. At most k - 1 of them start at t's placed neighbours, so one
+    starts at another placed node s and reaches t through unplaced nodes
+    only. Conversely, such a path from s and the k - 1 edges from t's
+    placed neighbours are k paths from distinct placed nodes that share no
+    node but t. So one breadth-first search from t decides it: it expands
+    unplaced nodes only, with t's placed neighbours marked as seen, and
+    stops at the first placed node it reaches.
+    """
+    seen = {t, *(w for w in adj[t] if w in placed)}
+    queue = [t]
+    for u in queue:
+        for w in adj[u]:
+            if w not in seen:
+                if w in placed:
+                    return True
+                seen.add(w)
+                queue.append(w)
+    return False
+
+
 def _greedy_clique(adj: list[list[int]], k: int, a: int) -> list[int]:
     """A clique of at most k + 1 nodes grown from a, without backtracking.
 
@@ -144,7 +176,8 @@ def _greedy_clique(adj: list[list[int]], k: int, a: int) -> list[int]:
     return members
 
 
-def _even_k_connected(g: GraphTopology, adj: list[list[int]], k: int) -> bool:
+def _even_k_connected(indptr: np.ndarray, indices: np.ndarray,
+                      adj: list[list[int]], k: int) -> bool:
     """Even's test (SIAM J. Comput. 4:393, 1975), the decision for every
     k >= 2 once n > k and the minimum degree is at least k; k = 1 is left to
     components, which are cheaper.
@@ -163,10 +196,13 @@ def _even_k_connected(g: GraphTopology, adj: list[list[int]], k: int) -> bool:
       already has k placed neighbours; none of them needs a search;
     - when none has, it stalls: the unplaced node with the most placed
       neighbours (lowest id on ties) is placed after a search from the placed
-      set. A node outside the placed nodes' component fails that search, so
+      set. With k - 1 placed neighbours that search is one breadth-first
+      search (_has_kth_path); with fewer it is the augmenting-path search.
+      A node outside the placed nodes' component fails either search, so
       disconnected graphs need no separate pass.
+    The graph is given as its CSR arrays and as their rows in `adj`.
     """
-    n, indptr, indices = g.n, g.indptr, g.indices
+    n = indptr.size - 1
     degrees = np.diff(indptr)
     placed_nbrs = np.zeros(n, dtype=np.int64)
     placed: set[int] = set()
@@ -174,10 +210,13 @@ def _even_k_connected(g: GraphTopology, adj: list[list[int]], k: int) -> bool:
     def place(nodes) -> None:
         nodes = np.asarray(nodes)
         placed.update(nodes.tolist())
-        lens = degrees[nodes]
-        ends = lens.cumsum()
-        at = np.repeat(indptr[nodes] - ends + lens, lens) + np.arange(ends[-1])
-        np.add.at(placed_nbrs, indices[at], 1)
+        if nodes.size == 1:  # one row holds no repeats
+            placed_nbrs[indices[indptr[nodes[0]]:indptr[nodes[0] + 1]]] += 1
+        else:
+            lens = degrees[nodes]
+            ends = lens.cumsum()
+            at = np.repeat(indptr[nodes] - ends + lens, lens) + np.arange(ends[-1])
+            np.add(placed_nbrs, np.bincount(indices[at], minlength=n), out=placed_nbrs)
         placed_nbrs[nodes] = -n  # below any unplaced count for good
 
     first = _greedy_clique(adj, k, int(degrees.argmax()))
@@ -193,7 +232,8 @@ def _even_k_connected(g: GraphTopology, adj: list[list[int]], k: int) -> bool:
         ready = np.flatnonzero(placed_nbrs >= k)
         if not ready.size:
             v = int(placed_nbrs.argmax())
-            if not _has_k_paths(adj, k, v, placed):
+            if not (_has_kth_path(adj, v, placed) if placed_nbrs[v] == k - 1
+                    else _has_k_paths(adj, k, v, placed)):
                 return False
             ready = [v]
         place(ready)
@@ -204,8 +244,10 @@ def vertex_connectivity(g: GraphTopology) -> int:
     """Exact vertex connectivity kappa; 0 for disconnected or single-node."""
     if not is_k_connected(g, 1):
         return 0
-    kappa, delta, adj = 1, min_degree(g), _adjacency(g)  # one adjacency serves every k
-    while g.n > kappa + 1 and delta > kappa and _even_k_connected(g, adj, kappa + 1):
+    kappa, delta = 1, min_degree(g)
+    adj = _adjacency(g.indptr, g.indices)  # one adjacency serves every k
+    while (g.n > kappa + 1 and delta > kappa
+           and _even_k_connected(g.indptr, g.indices, adj, kappa + 1)):
         kappa += 1
     return kappa
 
@@ -217,35 +259,36 @@ def is_k_connected(g: GraphTopology, k: int) -> bool:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
     degrees = np.diff(g.indptr)
     return _k_connected(k, degrees, lambda: (np.repeat(np.arange(g.n), degrees), g.indices),
-                        lambda: g)
+                        lambda: (g.indptr, g.indices))
 
 
 def _edges_k_connected(n: int, edges: np.ndarray, k: int) -> bool:
     """is_k_connected of the graph on nodes 0..n-1 whose edges are the
-    distinct rows (i, j), i < j, of `edges`, such as a trial's sampled
-    edges; its CSR is built only if Even's test runs."""
+    distinct int64 rows (i, j), i < j, of `edges`, such as a trial's sampled
+    edges. Its CSR is built, with one sort and without the checks of
+    GraphTopology, only if Even's test runs."""
     i, j = edges.T
     return _k_connected(k, np.bincount(edges.ravel(), minlength=n),
                         lambda: (np.concatenate((i, j)), np.concatenate((j, i))),
-                        lambda: GraphTopology(n, edges))
+                        lambda: _csr(n, i, j))
 
 
 def _k_connected(k: int, degrees: np.ndarray,
                  arcs: Callable[[], tuple[np.ndarray, np.ndarray]],
-                 graph: Callable[[], GraphTopology]) -> bool:
+                 csr: Callable[[], tuple[np.ndarray, np.ndarray]]) -> bool:
     """The decision of is_k_connected, k >= 1, for the graph whose node
     degrees are `degrees`. arcs() gives arrays (u, v) that list every edge
-    once in each direction and graph() its GraphTopology; each is called
-    only when needed. The n > k check and the minimum-degree filter read
-    only the degrees, k = 1 only the arcs, and only Even's test, for
-    k >= 2, the graph."""
+    once in each direction and csr() its CSR arrays (indptr, indices); each
+    is called only when needed. The n > k check and the minimum-degree
+    filter read only the degrees, k = 1 only the arcs, and only Even's test,
+    for k >= 2, the CSR."""
     n = degrees.size
     if n < k + 1 or degrees.min() < k:
         return False
     if k == 1:
         return not _component_roots(n, *arcs()).any()
-    g = graph()
-    return _even_k_connected(g, _adjacency(g), k)
+    indptr, indices = csr()
+    return _even_k_connected(indptr, indices, _adjacency(indptr, indices), k)
 
 
 def survives_node_failures(g: GraphTopology, m: int) -> bool:

@@ -42,11 +42,7 @@ class GraphTopology:
             if i == j:
                 raise InvalidParameterError(f"self-loop at node {i}")
             raise InvalidParameterError(f"edge ({i},{j}) out of range for n={n}")
-        # one sort of the keys row * n + column of both directions drops the
-        # repeats and orders every row
-        keys = keys_seen_at_least(np.concatenate((i * n + j, j * n + i)), 1)
-        self.indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-        self.indices = keys % n
+        self.indptr, self.indices = _csr(n, i, j)
         for a in (self.indptr, self.indices):
             a.flags.writeable = False
 
@@ -91,21 +87,35 @@ class GraphTopology:
         return f"GraphTopology(n={self.n}, edges={self.edge_count()})"
 
 
+def _csr(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (indptr, indices) over both directions of the edges (i[e], j[e])
+    of a graph on nodes 0..n-1, given as int64 ids of distinct nodes. One
+    sort of the keys row * n + column drops repeated edges and orders every
+    row."""
+    keys = keys_seen_at_least(np.concatenate((i * n + j, j * n + i)), 1)
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    keys -= keys // n * n  # keys % n; numpy's integer % by a scalar is slower
+    return indptr, keys
+
+
 def keys_seen_at_least(keys: np.ndarray, d: int) -> np.ndarray:
     """Sorted distinct values that occur at least d >= 1 times in `keys`.
 
-    Sorts `keys` in place, so callers pass arrays they no longer need. Then
-    s[i] is kept when it starts a run (s[i] != s[i-1]) at least d long
-    (s[i] == s[i+d-1]). np.unique(return_counts=True) gives the same values
-    but hashes integer keys, which is many times slower.
+    Sorts `keys` in place, so callers pass arrays they no longer need. For
+    d >= 2 only the positions i with s[i] == s[i+d-1], which lie in runs at
+    least d long, are gathered; then the first of each run of equal values
+    is kept. np.unique(return_counts=True) gives the same values but hashes
+    integer keys, which is many times slower.
     """
     keys.sort()
     if keys.size < d:
         return keys[:0]
-    head = keys[:keys.size - d + 1]
-    keep = keys[d - 1:] == head
-    keep[1:] &= head[1:] != head[:-1]
-    return head[keep]
+    if d > 1:
+        keys = keys[np.flatnonzero(keys[d - 1:] == keys[:keys.size - d + 1])]
+    keep = np.empty(keys.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
 
 
 def intersect_graphs(g1: GraphTopology, g2: GraphTopology) -> GraphTopology:

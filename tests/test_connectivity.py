@@ -4,6 +4,8 @@ from itertools import combinations, islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iglab import connectivity
 from iglab.connectivity import (
@@ -209,9 +211,9 @@ def test_vertex_connectivity_builds_the_adjacency_once(monkeypatch):
     calls = []
     adjacency = connectivity._adjacency
 
-    def counted(g):
-        calls.append(g.n)
-        return adjacency(g)
+    def counted(indptr, indices):
+        calls.append(indptr.size - 1)
+        return adjacency(indptr, indices)
 
     monkeypatch.setattr(connectivity, "_adjacency", counted)
     square_of_cycle = GraphTopology(12, [(i, (i + s) % 12) for i in range(12) for s in (1, 2)])
@@ -308,6 +310,9 @@ def test_connectivity_matches_networkx_on_glued_graphs(k):
     assert min_degree(cut) >= k and min_degree(joined) >= k
     assert _assert_matches_networkx(cut) < k
     assert _assert_matches_networkx(joined) >= k
+    # a trial decides on its edge array, with a CSR built without GraphTopology
+    assert not connectivity._edges_k_connected(cut.n, cut.pairs, k)
+    assert connectivity._edges_k_connected(joined.n, joined.pairs, k)
 
 
 # -- Even's test: cases where a wrong order, source arc or skip rule fails ---
@@ -330,6 +335,78 @@ def test_path_search_reroutes_earlier_paths():
     adj = [sorted(g.neighbors(u)) for u in range(g.n)]
     assert connectivity._has_k_paths(adj, 2, 4, {0, 1})
     assert not connectivity._has_k_paths(adj, 2, 4, {7, 8})  # both need 3
+
+
+# -- a stall with k - 1 placed neighbours: one breadth-first search ----------
+
+@st.composite
+def stalls(draw):
+    """(n, edges, k, v, placed): a random graph on n <= 16 nodes and a placed
+    set of k - 1 neighbours of v plus, where there are any, one or more
+    nodes not adjacent to v."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(k + 1, 16))
+    density = draw(st.sampled_from([0.1, 0.2, 0.35, 0.5, 0.8]))
+    pairs = list(combinations(range(n), 2))
+    mask = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    edges = {e for e, x in zip(pairs, mask) if x < density}
+    v = draw(st.integers(0, n - 1))
+    others = [u for u in range(n) if u != v]
+    near = draw(st.lists(st.sampled_from(others), min_size=k - 1, max_size=k - 1, unique=True))
+    edges |= {(min(u, v), max(u, v)) for u in near}
+    far = [u for u in others if u not in near and (min(u, v), max(u, v)) not in edges]
+    placed = set(near) | draw(st.sets(st.sampled_from(far), min_size=1)) if far else set(near)
+    return n, sorted(edges), k, v, placed
+
+
+@settings(max_examples=400, deadline=None)
+@given(stalls())
+def test_stall_search_matches_the_flow_search(case):
+    # every unplaced node with exactly k - 1 placed neighbours, v among them
+    n, edges, k, v, placed = case
+    g = GraphTopology(n, edges)
+    adj = connectivity._adjacency(g.indptr, g.indices)
+    stalled = [u for u in range(n)
+               if u not in placed and len(placed.intersection(adj[u])) == k - 1]
+    assert v in stalled
+    for u in stalled:
+        assert (connectivity._has_kth_path(adj, u, placed)
+                == connectivity._has_k_paths(adj, k, u, placed)), (u, placed)
+
+
+def test_stall_search_ignores_routes_back_to_the_placed_neighbours():
+    # k = 3: node 0 has placed neighbours 1 and 2, and every route from 0
+    # through unplaced nodes (4, 5) ends at 1 or 2; placed 3 is reachable
+    # only through them, so there is no third path
+    edges = [(0, 1), (0, 2), (0, 4), (1, 4), (2, 5), (4, 5), (1, 3), (2, 3)]
+    g = GraphTopology(6, edges)
+    adj = connectivity._adjacency(g.indptr, g.indices)
+    placed = {1, 2, 3}
+    assert not connectivity._has_kth_path(adj, 0, placed)
+    assert not connectivity._has_k_paths(adj, 3, 0, placed)
+    # an edge from 5 to 3 gives the third path
+    g = GraphTopology(6, edges + [(3, 5)])
+    adj = connectivity._adjacency(g.indptr, g.indices)
+    assert connectivity._has_kth_path(adj, 0, placed)
+    assert connectivity._has_k_paths(adj, 3, 0, placed)
+
+
+# -- the trial entry, on a sampled edge array, against the graph entry -------
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 16))
+    pairs = list(combinations(range(n), 2))
+    density = draw(st.sampled_from([0.2, 0.4, 0.6, 0.8, 1.0]))
+    mask = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    return GraphTopology(n, [e for e, x in zip(pairs, mask) if x < density])
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+def test_trial_entry_matches_the_graph_entry(g):
+    for k in range(1, 5):
+        assert connectivity._edges_k_connected(g.n, g.pairs, k) == is_k_connected(g, k), k
 
 
 def _separated_parts(k, seed):

@@ -70,6 +70,22 @@ def test_uniform_rings_dense_branch():
     assert all(len(set(r)) == 5 and max(r) < 12 for r in assign.rings)
 
 
+@pytest.mark.parametrize("P", [4000, 10 ** 4, 2 ** 31 - 1, 2 ** 31])
+def test_int32_ring_draw_matches_the_int64_draw(P):
+    # The rejection sampler draws its ring matrix as int32. Its values, and
+    # where it leaves the stream, must be those of the int64 draw, or every
+    # seed's rings and thinning draws (and so every CSV) would change. Odd
+    # sizes leave half of a 64-bit word unused.
+    wide, narrow = trial_rng(21, P % 997), trial_rng(21, P % 997)
+    for size in [(300, 38), (7, 3), (1, 1)]:
+        drawn = narrow.integers(0, P, size=size, dtype=np.int32)
+        assert drawn.dtype == np.int32
+        assert np.array_equal(wide.integers(0, P, size=size, dtype=np.int64), drawn)
+        assert wide.random() == narrow.random()
+    rings = gen_object_rings_uniform(50, 3, P, trial_rng(22)).rings
+    assert rings.dtype == np.int32 and rings.max() < P
+
+
 def test_uniform_rings_inclusion_frequency():
     n, K, P = 40000, 3, 10
     assign = gen_object_rings_uniform(n, K, P, trial_rng(3, 0))
