@@ -23,7 +23,6 @@ from .theory import (
     edge_prob_model,
     edge_prob_overlap,
     edge_prob_overlap_exact,
-    er_kconn_limit,
     poisson_degree_mean,
     poisson_pmf,
     predicted_limit_prob,
@@ -35,11 +34,9 @@ from .generators import (
     gen_coupled_pair,
     gen_er,
     gen_model_graph,
-    gen_multiset_graph,
     gen_object_rings_binomial,
     gen_object_rings_uniform,
     graph_from_rings,
-    poissonization_edge_prob,
     trial_rng,
 )
 from .connectivity import (

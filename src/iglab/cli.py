@@ -25,7 +25,6 @@ import scipy
 from . import __version__
 from .errors import (
     ContainmentViolationError,
-    DegenerateRegimeError,
     InfeasibleCouplingError,
     InvalidParameterError,
 )
@@ -407,8 +406,7 @@ def main(argv=None) -> int:
     except ContainmentViolationError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (InvalidParameterError, InfeasibleCouplingError,
-            DegenerateRegimeError) as exc:
+    except (InvalidParameterError, InfeasibleCouplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

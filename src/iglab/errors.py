@@ -9,10 +9,6 @@ class InfeasibleCouplingError(ValueError):
     """The binomial-ring coupling threshold does not exist (K too small vs ln n)."""
 
 
-class DegenerateRegimeError(ValueError):
-    """A formula is undefined in the requested regime (e.g. non-positive Poisson mean)."""
-
-
 class OracleRefusedError(ValueError):
     """A brute-force oracle was asked to run outside its safe size guard."""
 

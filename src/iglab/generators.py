@@ -1,7 +1,7 @@
 """Samplers for every random-graph family used by the model and its proof
 machinery: uniform and binomial object-ring assignments, the d-overlap
-graph, Erdos-Renyi layers, the full composed model, multiset edge graphs,
-and the binomial-to-uniform ring coupling.
+graph, Erdos-Renyi layers, the full composed model, and the
+binomial-to-uniform ring coupling.
 
 All samplers take an explicit numpy Generator. Use trial_rng() to derive
 deterministic per-trial streams from a base seed so trial i is reproducible
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DegenerateRegimeError, InfeasibleCouplingError, InvalidParameterError
+from .errors import InfeasibleCouplingError, InvalidParameterError
 from .graph import GraphTopology, keys_seen_at_least
 from .theory import ModelParams
 
@@ -332,23 +332,6 @@ def _model_edges(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
     return _split_keys(keys, n)
 
 
-# -- multiset edge graphs ----------------------------------------------------
-
-def gen_multiset_graph(n: int, b: int, d: int,
-                       rng: np.random.Generator) -> GraphTopology:
-    """Draw b edges uniformly with repetition from all C(n,2) pairs; keep the
-    pairs drawn at least d times (d=1 keeps every drawn pair)."""
-    if b < 0:
-        raise InvalidParameterError(f"b must be >= 0, got {b}")
-    if d < 1:
-        raise InvalidParameterError(f"d must be >= 1, got {d}")
-    m_pairs = n * (n - 1) // 2
-    if b == 0 or m_pairs == 0:
-        return GraphTopology(n)
-    draws = rng.integers(0, m_pairs, size=b, dtype=np.int64)
-    return GraphTopology(n, _decode_pair_index(keys_seen_at_least(draws, d), n))
-
-
 # -- coupling machinery ------------------------------------------------------
 
 @dataclass
@@ -404,49 +387,3 @@ def gen_coupled_pair(n: int, K: int, P: int, d: int,
     g = graph_from_rings(ObjectAssignment(rings=np.concatenate(blocks_u), pool_size=P), d)
     valid = max(map(len, rings_b)) <= K
     return CoupledPair(h=h, g=g, coupling_valid=valid, x=thr.x)
-
-
-# -- Poissonization ----------------------------------------------------------
-
-@dataclass
-class PoissonizationSummary:
-    edge_prob: float  # rho = P[Poisson(mu) >= d]
-    mu: float
-    lam: float
-    mean_y: float
-    mean_w: float
-
-
-def poissonization_summary(n: int, P: int, x: float, d: int) -> PoissonizationSummary:
-    """Edge probability of the Poissonized multiset graph.
-
-    mean_w = n*x/2 - 1/4 + (1-2x)^n / 4 per object; the Poisson edge-count
-    mean is mu = lam / C(n,2) with lam = E[Y] - E[Y]^(5/6)."""
-    if not (0.0 < x < 1.0):
-        raise InvalidParameterError(f"x must be in (0,1), got {x}")
-    if n < 3:
-        raise InvalidParameterError(f"n must be >= 3, got {n}")
-    if d < 1:
-        raise InvalidParameterError(f"d must be >= 1, got {d}")
-    if 2 * x < 1.0:
-        # exp/log1p form avoids catastrophic cancellation for small x
-        pow_term = math.exp(n * math.log1p(-2.0 * x))
-    else:
-        pow_term = (1.0 - 2.0 * x) ** n
-    mean_w = 0.5 * n * x - 0.25 + 0.25 * pow_term
-    mean_y = P * mean_w
-    if mean_y <= 1.0:
-        raise DegenerateRegimeError(
-            f"E[Y] = {mean_y:.6g} <= 1: Poissonized mean would be non-positive"
-        )
-    lam = mean_y - mean_y ** (5.0 / 6.0)
-    mu = lam / (n * (n - 1) / 2.0)
-    # upper Poisson tail P[Z >= d] via the regularized lower incomplete gamma
-    from scipy.special import gammainc  # only here: no trial needs scipy
-    rho = float(gammainc(d, mu))
-    return PoissonizationSummary(edge_prob=rho, mu=mu, lam=lam,
-                                 mean_y=mean_y, mean_w=mean_w)
-
-
-def poissonization_edge_prob(n: int, P: int, x: float, d: int) -> float:
-    return poissonization_summary(n, P, x, d).edge_prob

@@ -161,15 +161,6 @@ def predicted_limit_prob(alpha: float, m: int) -> float:
         return 0.0
 
 
-def er_kconn_limit(alpha: float, k: int) -> float:
-    """Limit probability that an Erdos-Renyi graph at the k-connectivity
-    scaling is k-connected: exp(-exp(-alpha)/(k-1)!). Same kernel as
-    predicted_limit_prob with m = k-1."""
-    if k < 1:
-        raise InvalidParameterError(f"k must be >= 1, got {k}")
-    return predicted_limit_prob(alpha, k - 1)
-
-
 def check_regime(params: ModelParams) -> list[RegimeCondition]:
     """Finite-n advisory proxies for the theorem's asymptotic conditions."""
     n, K, P = params.n, params.K, params.P

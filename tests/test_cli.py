@@ -379,6 +379,10 @@ def test_verify_coupling_refuses_d_above_K(capsys):
     assert run_cli("verify", "coupling", "-n", 200, "-K", 50, "-P", 500,
                    "-d", 60, "--trials", 2) == 2
     assert "need 1 <= d <= K <= P" in capsys.readouterr().err
+    # nor is there a coupling threshold once K <= 3 ln n (3 ln 1000 = 20.7)
+    assert run_cli("verify", "coupling", "-n", 1000, "-K", 10, "-P", 100,
+                   "-d", 2, "--trials", 2) == 2
+    assert "error: coupling infeasible" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["-f", "-g"])
@@ -542,8 +546,8 @@ def test_rational_past_the_int_string_limit_is_not_printed():
 
 # Start-up time is almost all imports, and a simulate or sweep run needs
 # numpy and the top-level scipy package (for its version) only. These
-# modules would each add time: scipy.special serves just the Poissonization
-# tail and the verify-degree chi-square, which import it where they run.
+# modules would each add time: scipy.special serves just the verify-degree
+# chi-square, which imports it where it runs.
 HEAVY_MODULES = ("scipy.sparse", "scipy.special", "scipy.linalg", "scipy.stats",
                  "scipy.optimize", "networkx", "hypothesis")
 

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iglab.errors import (
-    DegenerateRegimeError,
     InfeasibleCouplingError,
     InvalidParameterError,
 )
@@ -21,17 +20,14 @@ from iglab.generators import (
     gen_coupled_pair,
     gen_er,
     gen_model_graph,
-    gen_multiset_graph,
     gen_object_rings_binomial,
     gen_object_rings_uniform,
     graph_from_rings,
     half_count_summary,
-    poissonization_edge_prob,
-    poissonization_summary,
     trial_rng,
 )
 from iglab.graph import GraphTopology
-from iglab.theory import ModelParams, edge_prob_model, edge_prob_overlap, poisson_pmf
+from iglab.theory import ModelParams, edge_prob_model, edge_prob_overlap
 
 
 def assignment(*rings, pool):
@@ -445,37 +441,6 @@ def test_binomial_rings_object_count_statistics():
     assert summary.y == int(summary.w_counts.sum())
 
 
-# -- multiset graphs -------------------------------------------------------------
-
-def test_multiset_graph_small_cases():
-    assert gen_multiset_graph(5, 0, 1, trial_rng(0, 0)).edges == frozenset()
-    g = gen_multiset_graph(5, 1, 1, trial_rng(0, 1))
-    assert len(g.edges) == 1
-    assert gen_multiset_graph(5, 3, 4, trial_rng(0, 2)).edges == frozenset()
-
-
-def test_multiset_graph_pair_retention_probability():
-    # P[specific pair kept in L_2(5, 3)] = P[Bin(3, 1/10) >= 2] = 0.028
-    p_expect = 3 * 0.01 * 0.9 + 0.001
-    assert p_expect == pytest.approx(0.028)
-    trials = 200000
-    hits = sum(gen_multiset_graph(5, 3, 2, trial_rng(51, i)).has_edge(0, 1)
-               for i in range(trials))
-    sigma = math.sqrt(trials * p_expect * (1 - p_expect))
-    assert abs(hits - trials * p_expect) < 4 * sigma
-
-
-def test_multiset_graph_distinct_edge_count_mean():
-    n, b = 12, 40
-    m = n * (n - 1) // 2
-    expect = m * (1 - (1 - 1 / m) ** b)
-    trials = 2000
-    totals = [gen_multiset_graph(n, b, 1, trial_rng(52, i)).edge_count()
-              for i in range(trials)]
-    sigma_mean = np.std(totals) / math.sqrt(trials)
-    assert abs(np.mean(totals) - expect) < 4 * sigma_mean
-
-
 # -- coupling --------------------------------------------------------------------
 
 def test_coupling_threshold_values():
@@ -523,38 +488,3 @@ def test_coupled_pair_uniform_side_ring_sizes():
     # spot-check via regenerating the rings deterministically is overkill;
     # the graph pair itself is the contract
     assert isinstance(pair.coupling_valid, bool)
-
-
-# -- Poissonization ----------------------------------------------------------------
-
-def test_poissonization_against_series_oracle():
-    summary = poissonization_summary(1000, 10 ** 4, 5e-4, 2)
-    series = sum(poisson_pmf(summary.mu, j) for j in range(2, 52))
-    assert summary.edge_prob == pytest.approx(series, rel=1e-9)
-
-
-def test_poissonization_sandwich_bound():
-    for (n, P, x, d) in [(1000, 10 ** 4, 5e-4, 2), (500, 2000, 2e-3, 1),
-                         (2000, 10 ** 5, 2e-4, 3)]:
-        s = poissonization_summary(n, P, x, d)
-        lower = s.mu ** d * math.exp(-s.mu) / math.factorial(d)
-        upper = lower / (1 - s.mu / (d + 1))
-        assert lower < s.edge_prob < upper
-
-
-def test_poissonization_first_order_tail():
-    # d=1, mu -> 0: rho/mu -> 1
-    s = poissonization_summary(5000, 10 ** 4, 1e-5, 1)
-    assert s.edge_prob / s.mu == pytest.approx(1.0, abs=5e-3)
-
-
-def test_poissonization_degenerate_regime():
-    with pytest.raises(DegenerateRegimeError):
-        poissonization_edge_prob(100, 10, 1e-4, 1)
-
-
-def test_poissonization_validates_inputs():
-    with pytest.raises(InvalidParameterError):
-        poissonization_edge_prob(1000, 100, 0.0, 1)
-    with pytest.raises(InvalidParameterError):
-        poissonization_edge_prob(2, 100, 0.5, 1)

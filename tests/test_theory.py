@@ -17,7 +17,6 @@ from iglab.theory import (
     edge_prob_model,
     edge_prob_overlap,
     edge_prob_overlap_exact,
-    er_kconn_limit,
     poisson_degree_mean,
     poisson_pmf,
     predicted_limit_prob,
@@ -216,6 +215,7 @@ def test_alpha_inverts_scaling_law():
 def test_predicted_limit_examples():
     assert predicted_limit_prob(math.inf, 5) == 1.0
     assert predicted_limit_prob(-math.inf, 0) == 0.0
+    assert predicted_limit_prob(-math.inf, 3) == 0.0
     assert predicted_limit_prob(0.0, 0) == pytest.approx(math.exp(-1))
     assert predicted_limit_prob(0.0, 2) == pytest.approx(math.exp(-0.5))
 
@@ -235,17 +235,6 @@ def test_predicted_limit_strictly_increasing():
     vals = [predicted_limit_prob(a, 1) for a in alphas]
     assert all(x < y for x, y in zip(vals, vals[1:]))
     assert all(0 < v < 1 for v in vals)
-
-
-def test_er_kconn_limit_is_shifted_kernel():
-    assert er_kconn_limit(0.0, 1) == pytest.approx(math.exp(-1))
-    assert er_kconn_limit(-math.inf, 4) == 0.0
-    import random
-    rnd = random.Random(7)
-    for _ in range(100):
-        a = rnd.uniform(-4, 4)
-        k = rnd.randint(1, 6)
-        assert er_kconn_limit(a, k) == predicted_limit_prob(a, k - 1)
 
 
 # -- regime checks --------------------------------------------------------------
