@@ -4,14 +4,15 @@ Every loop over trials is one _map_trials call. A simulate or sweep run is a
 list of rows, one per sweep value, each built and checked before any trial;
 then the trials of every row run as one batch. The parent process runs
 trials itself and forks worker processes only once the mean trial time so
-far says that dealing the trials left over them would save more than their
-start-up cost; then it deals the trials left in turn to the workers and to
-itself, and each worker sends its records back through a pipe and exits.
-Workers are forked, so this needs os.fork (POSIX); elsewhere every trial
-runs in the parent. Trial i of a row draws from
-trial_rng(base_seed, *path, i) and records come back in index order, so
-results are bit-identical for any worker count and any schedule; aggregation
-is pure counting of the per-trial records.
+far says that sharing the trials left with them would save more than their
+start-up cost; then it queues the trials left on a pipe, and every process,
+the parent included, takes the next one from it as soon as it is free. Each
+worker sends its records back through a pipe of its own and exits. Workers
+are forked, so this needs os.fork (POSIX); elsewhere every trial runs in the
+parent. Trial i of a row draws from trial_rng(base_seed, *path, i) and each
+record is placed by its index, so results are bit-identical for any worker
+count and any schedule; aggregation is pure counting of the per-trial
+records.
 """
 
 from __future__ import annotations
@@ -176,16 +177,29 @@ class _RemoteTraceback(Exception):
         return self.args[0]
 
 
-def _run_dealt(trial, indices: range, pipe: int) -> NoReturn:
-    """The whole life of a forked worker: run trial(i) for each dealt index,
-    write one pickle to `pipe` and leave by os._exit, so that nothing the
-    parent set up (atexit hooks, buffered output, a test runner) runs twice.
-    The pickle is (records, None, None), or (None, exception, traceback) when
-    a trial raised; an exception that does not pickle is sent as its repr."""
+def _dealt(tokens: int, chunk: int, trials: int):
+    """The trial indices this process takes from the token pipe `tokens`:
+    one 4-byte token at a time, each the first index of a chunk of `chunk`
+    consecutive trials below `trials`, until the pipe is empty. A pipe read
+    of 4 bytes is never split, and all tokens are written before any process
+    reads, so every read returns one whole token or, at the end, nothing."""
+    while token := os.read(tokens, 4):
+        start = int.from_bytes(token, "little")
+        yield from range(start, min(start + chunk, trials))
+
+
+def _run_dealt(trial, tokens: int, chunk: int, trials: int, pipe: int) -> NoReturn:
+    """The whole life of a forked worker: run trial(i) for each index it
+    takes from the token pipe (_dealt), write one pickle to `pipe` and leave
+    by os._exit, so that nothing the parent set up (atexit hooks, buffered
+    output, a test runner) runs twice. The pickle is ([(i, trial(i)), ...],
+    None, None), or (None, exception, traceback) when a trial raised; an
+    exception that does not pickle is sent as its repr."""
     code = 1
     try:
         try:
-            data = pickle.dumps(([trial(i) for i in indices], None, None))
+            data = pickle.dumps(([(i, trial(i)) for i in _dealt(tokens, chunk, trials)],
+                                 None, None))
         except BaseException as exc:
             tb = traceback.format_exc()
             try:
@@ -223,7 +237,8 @@ def _keep_freed_memory() -> None:
 
 
 def _collect(pid: int, data: bytes, status: int) -> list:
-    """The records that worker pid wrote, or its exception raised again."""
+    """The (index, record) pairs that worker pid wrote, or its exception
+    raised again."""
     code = os.waitstatus_to_exitcode(status)
     if code != 0:
         how = f"exited with status {code}" if code > 0 else f"was killed by signal {-code}"
@@ -239,21 +254,25 @@ def _map_trials(trial, trials: int, workers: int | None) -> list:
     resolve_workers(workers, trials).
 
     The parent runs trials itself, in index order, until the mean trial time
-    says that dealing the trials left over w processes would save more than
+    says that sharing the trials left with w - 1 workers would save more than
     _FORK_START_S: mean * (left - ceil(left / w)) > _FORK_START_S, checked
-    after every trial, so a last trial never forks. It then forks w - 1
-    workers and deals the trials left in turn: process r of w takes every
-    w-th of them from the r-th on. Workers are processes 0 .. w - 2; the
-    parent, which ran the first trials alone, is process w - 1, the one with
-    no more trials than any other. Each worker sends its records, or its
-    exception, back through its own pipe. After each of its own trials the
-    parent polls the pipes and reads and reaps every worker that has
-    finished, so a trial that raises in a worker, or a worker that dies, is
-    reported at the parent's next trial boundary; then it reads and reaps the
-    rest. When a trial raises or a worker dies, every worker still running is
-    killed and reaped before the error leaves. `trial` derives its streams
-    from the index; it is never pickled, only its records are. Every call
-    first has malloc keep its freed heap (_keep_freed_memory)."""
+    after every trial, so a last trial never forks. It then writes the trials
+    left as 4-byte tokens into a new pipe, closes its write end and forks the
+    workers. Every process, the parent included, takes one token at a time
+    and runs its trials until the pipe is empty (_dealt), so no process sits
+    idle while another has trials queued. At most 1024 tokens (4096 bytes)
+    are written, in one write that fits an empty pipe, whose capacity is at
+    least one page, so it never blocks; with more trials left, a token
+    stands for a chunk of ceil(left / 1024) consecutive trials. Each worker
+    sends its (index, record) pairs, or its exception, back through its own
+    pipe, and the parent places the records by index. After each of its own
+    trials the parent polls the pipes and reads and reaps every worker that
+    has finished, so a trial that raises in a worker, or a worker that dies,
+    is reported at the parent's next trial boundary; then it reads and reaps
+    the rest. When a trial raises or a worker dies, every worker still
+    running is killed and reaped before the error leaves. `trial` derives
+    its streams from the index; it is never pickled, only its records are.
+    Every call first has malloc keep its freed heap (_keep_freed_memory)."""
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
     _keep_freed_memory()
@@ -270,20 +289,28 @@ def _map_trials(trial, trials: int, workers: int | None) -> list:
         return records
     records += [None] * (trials - first)
     workers = min(workers, trials - first)
-    children = {}  # read end -> (its pipe, pid, slot) of each worker not yet reaped
+    chunk = math.ceil((trials - first) / 1024)
+    children = {}  # read end -> (its pipe, pid) of each worker not yet reaped
     finished = select.poll()  # not select.select, which refuses descriptors >= 1024
 
     def reap(read: int) -> None:
-        pipe, pid, r = children[read]
+        pipe, pid = children[read]
         finished.unregister(read)
         with pipe:
             data = pipe.read()
         status = os.waitpid(pid, 0)[1]
         del children[read]
-        records[first + r::workers] = _collect(pid, data, status)
+        for i, record in _collect(pid, data, status):
+            records[i] = record
 
+    tokens, write = os.pipe()
     try:
-        for r in range(workers - 1):
+        try:
+            os.write(write, b"".join(i.to_bytes(4, "little")
+                                     for i in range(first, trials, chunk)))
+        finally:
+            os.close(write)
+        for _ in range(workers - 1):
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -293,18 +320,19 @@ def _map_trials(trial, trials: int, workers: int | None) -> list:
                 raise
             if pid == 0:
                 os.close(read)
-                _run_dealt(trial, range(first + r, trials, workers), write)
+                _run_dealt(trial, tokens, chunk, trials, write)
             os.close(write)
-            children[read] = (open(read, "rb"), pid, r)
+            children[read] = (open(read, "rb"), pid)
             finished.register(read, select.POLLIN)
-        for i in range(first + workers - 1, trials, workers):
+        for i in _dealt(tokens, chunk, trials):
             records[i] = trial(i)
             for read, _ in finished.poll(0):
                 reap(read)
         for read in list(children):
             reap(read)
     finally:
-        for pipe, pid, _ in children.values():
+        os.close(tokens)
+        for pipe, pid in children.values():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

@@ -2,8 +2,10 @@ import argparse
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,6 @@ from iglab.graph import GraphTopology
 from iglab.theory import (
     ModelParams,
     alpha_from_params,
-    edge_prob_model,
     predicted_limit_prob,
     solve_critical,
 )
@@ -413,8 +414,9 @@ def test_containment_violation_is_raised_and_exits_4(monkeypatch, capsys, thread
 
 
 def test_containment_violation_in_a_worker_names_its_trial(monkeypatch, capsys):
-    # The parent runs trial 0, then forks: with 3 trials and two processes
-    # the worker takes trial 1 and the parent, in the last slot, trial 2.
+    # The parent runs trial 0, then forks; every trial a worker runs draws the
+    # broken pair. The parent's trials take 10 ms, so that the worker takes
+    # some before the parent has run them all.
     monkeypatch.setenv("RG_LAB_THREADS", "2")
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(experiments, "_FORK_START_S", 0.0)
@@ -423,14 +425,23 @@ def test_containment_violation_in_a_worker_names_its_trial(monkeypatch, capsys):
     broken = CoupledPair(h=GraphTopology(4, [(0, 1), (2, 3)]),
                          g=GraphTopology(4, [(0, 1), (1, 2)]),
                          coupling_valid=True, x=0.1)
+    parent, ran = os.getpid(), []
+
+    def pair(n, K, P, d, i):
+        if os.getpid() != parent:
+            return broken
+        ran.append(i)
+        time.sleep(0.01)
+        return good
+
     monkeypatch.setattr(experiments, "trial_rng", lambda base_seed, i: i)
-    monkeypatch.setattr(experiments, "gen_coupled_pair",
-                        lambda n, K, P, d, i: broken if i == 1 else good)
-    with pytest.raises(ContainmentViolationError, match="valid trial 1$") as exc:
-        experiments.coupling_validity_rate(4, 50, 500, 2, trials=3)
+    monkeypatch.setattr(experiments, "gen_coupled_pair", pair)
+    with pytest.raises(ContainmentViolationError, match=r"valid trial \d+$") as exc:
+        experiments.coupling_validity_rate(4, 50, 500, 2, trials=20)
     assert type(exc.value.__cause__).__name__ == "_RemoteTraceback"
+    assert int(str(exc.value).split()[-1]) not in ran, ran  # the worker's trial
     assert run_cli("verify", "coupling", "-n", 200, "-K", 50, "-P", 500,
-                   "-d", 2, "--trials", 3) == 4
+                   "-d", 2, "--trials", 20) == 4
     assert "invariant violation" in capsys.readouterr().err
 
 

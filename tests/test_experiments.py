@@ -1,3 +1,4 @@
+import contextlib
 import ctypes
 import math
 import operator
@@ -184,23 +185,55 @@ def test_no_worker_is_forked_that_could_not_save_time(monkeypatch):
     assert len(forks) == 1
 
 
-# The parent runs trial 0 alone, then the worker takes trials 1, 3, 5 and the
-# parent, in the last slot, trials 2, 4.
-@pytest.mark.parametrize("bad", [1, 2])  # in a worker's slot, in the parent's
+@contextlib.contextmanager
+def _time_limit(seconds: float, hang: str):
+    """Raise TimeoutError(hang) if the block runs longer than `seconds`."""
+    def hung(signum, frame):
+        raise TimeoutError(hang)
+
+    before = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, before)
+
+
+def _fail_in(bad: int, parent: int, i: int) -> int:
+    """Trial i, which raises in the first trial that a worker runs (bad = 1)
+    or the first that the parent runs after trial 0, which it runs before
+    the fork (bad = 2). The parent's trials take 10 ms, so that a worker
+    takes some before the parent has run them all."""
+    in_parent = os.getpid() == parent
+    if in_parent:
+        time.sleep(0.01)
+    if i and in_parent == (bad == 2):
+        raise ValueError(f"trial {i} failed")
+    return i
+
+
+@pytest.mark.parametrize("bad", [1, 2])  # in a worker, in the parent
 def test_no_worker_outlives_a_failed_trial(monkeypatch, bad):
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(experiments, "_FORK_START_S", 0.0)
     forks = _count_forks(monkeypatch)
-    with pytest.raises(ValueError, match=f"trial {bad} failed") as exc:
-        _map_all(2, 6, partial(_fail_at, bad))
+    with pytest.raises(ValueError, match=r"trial \d+ failed") as exc:
+        _map_all(2, 40, partial(_fail_in, bad, os.getpid()))
     assert len(forks) == 1
     assert (type(exc.value.__cause__).__name__ == "_RemoteTraceback") == (bad == 1)
     _assert_no_child_left()
 
 
-def _die_in_a_worker(bad: int, parent: int, i: int) -> int:
-    if i == bad:
-        assert os.getpid() != parent, f"trial {i} ran in the parent"
+def _die_in_a_worker(bad: int, parent: int, ran: list, i: int) -> int:
+    """Trial i; a worker dies in the bad-th trial it runs, by os._exit(3)
+    when bad is 3, else by SIGKILL. The parent's trials take 10 ms, so that
+    a worker takes many before the parent has run them all."""
+    if os.getpid() == parent:
+        time.sleep(0.01)
+        return i
+    ran.append(i)  # a worker appends to its own copy of the list
+    if len(ran) == bad:
         if bad == 3:
             os._exit(3)
         os.kill(os.getpid(), signal.SIGKILL)
@@ -212,39 +245,80 @@ def _die_in_a_worker(bad: int, parent: int, i: int) -> int:
 def test_a_worker_that_exits_is_named_and_reaped(monkeypatch, bad, reported):
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(experiments, "_FORK_START_S", 0.0)
-
-    def hung(signum, frame):
-        raise TimeoutError("_map_trials still waits on a worker that exited")
-
-    before = signal.signal(signal.SIGALRM, hung)
-    signal.setitimer(signal.ITIMER_REAL, 30.0)
-    try:
+    with _time_limit(30.0, "_map_trials still waits on a worker that exited"):
         with pytest.raises(RuntimeError, match=reported):
-            _map_all(2, 6, partial(_die_in_a_worker, bad, os.getpid()))
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, before)
+            _map_all(2, 42, partial(_die_in_a_worker, bad, os.getpid(), []))
     _assert_no_child_left()
 
 
-def _slow_fail_at(bad: int, ran: list, i: int) -> int:
+def _slow_fail_in_a_worker(parent: int, ran: list, i: int) -> int:
     time.sleep(0.05)
     ran.append(i)  # a worker appends to its own copy of the list
-    if i == bad:
+    if os.getpid() != parent:
         raise ValueError(f"trial {i} failed")
     return i
 
 
 def test_a_failed_worker_is_reported_at_the_next_trial_boundary(monkeypatch):
-    # The parent runs trial 0, forks, and takes trials 2, 4, ..., 40 while
-    # the worker's first trial, 1, raises after 50 ms. Waiting for its whole
-    # share of 20 trials before it reads the pipe is a second lost.
+    # The parent runs trial 0, forks, and takes trials from the queue while
+    # the worker's first trial raises after 50 ms. Reading the worker's pipe
+    # only once the queue is empty would lose about two seconds.
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(experiments, "_FORK_START_S", 0.0)
     ran = []
-    with pytest.raises(ValueError, match="trial 1 failed"):
-        _map_all(2, 42, partial(_slow_fail_at, 1, ran))
+    with pytest.raises(ValueError, match=r"trial \d+ failed") as exc:
+        _map_all(2, 42, partial(_slow_fail_in_a_worker, os.getpid(), ran))
+    assert type(exc.value.__cause__).__name__ == "_RemoteTraceback"
     assert ran[0] == 0 and len(ran[1:]) <= 3, ran
+    _assert_no_child_left()
+
+
+def _pid_and_neg(parent: int, i: int) -> tuple[int, int]:
+    if os.getpid() != parent:
+        time.sleep(0.02)
+    return os.getpid(), -i
+
+
+def test_a_slow_worker_leaves_the_queue_to_the_parent(monkeypatch):
+    # Dealt in fixed turns, the parent ran trial 0 and every second trial
+    # after it, 20 of 40, however long the worker's trials took.
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(experiments, "_FORK_START_S", 0.0)
+    parent = os.getpid()
+    trial = partial(_pid_and_neg, parent)
+    serial = _map_all(1, 40, trial)
+    forks = _count_forks(monkeypatch)
+    records = _map_all(2, 40, trial)
+    assert len(forks) == 1
+    assert [neg for _, neg in records] == [neg for _, neg in serial]
+    assert [pid for pid, _ in records].count(parent) >= 30, records
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_more_trials_than_one_page_of_tokens(monkeypatch, workers):
+    # 4999 trials left after trial 0 go out as 1000 tokens of 5 trials each
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(experiments, "_FORK_START_S", 0.0)
+    forks = _count_forks(monkeypatch)
+    with _time_limit(30.0, "_map_trials blocked writing its tokens"):
+        assert _map_all(workers, 5000, operator.neg) == [-i for i in range(5000)]
+    assert len(forks) == workers - 1
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_no_descriptor_outlives_a_trial_map(monkeypatch):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(experiments, "_FORK_START_S", 0.0)
+    forks = _count_forks(monkeypatch)
+    before = set(os.listdir("/proc/self/fd"))
+    assert _map_all(2, 6, operator.neg) == [-i for i in range(6)]
+    assert set(os.listdir("/proc/self/fd")) == before
+    with pytest.raises(ValueError, match="trial 3 failed"):
+        _map_all(2, 6, partial(_fail_at, 3))
+    assert set(os.listdir("/proc/self/fd")) == before
+    assert len(forks) == 2
     _assert_no_child_left()
 
 
