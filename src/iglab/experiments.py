@@ -188,18 +188,17 @@ def _dealt(tokens: int, chunk: int, trials: int):
         yield from range(start, min(start + chunk, trials))
 
 
-def _run_dealt(trial, tokens: int, chunk: int, trials: int, pipe: int) -> NoReturn:
-    """The whole life of a forked worker: run trial(i) for each index it
-    takes from the token pipe (_dealt), write one pickle to `pipe` and leave
-    by os._exit, so that nothing the parent set up (atexit hooks, buffered
-    output, a test runner) runs twice. The pickle is ([(i, trial(i)), ...],
-    None, None), or (None, exception, traceback) when a trial raised; an
-    exception that does not pickle is sent as its repr."""
+def _run_dealt(trial, indices, pipe: int) -> NoReturn:
+    """The whole life of a forked worker: run trial(i) for each index it is
+    dealt, write one pickle to `pipe` and leave by os._exit, so that nothing
+    the parent set up (atexit hooks, buffered output, a test runner) runs
+    twice. The pickle is ([(i, trial(i)), ...], None, None), or (None,
+    exception, traceback) when a trial raised; an exception that does not
+    pickle is sent as its repr."""
     code = 1
     try:
         try:
-            data = pickle.dumps(([(i, trial(i)) for i in _dealt(tokens, chunk, trials)],
-                                 None, None))
+            data = pickle.dumps(([(i, trial(i)) for i in indices], None, None))
         except BaseException as exc:
             tb = traceback.format_exc()
             try:
@@ -320,7 +319,7 @@ def _map_trials(trial, trials: int, workers: int | None) -> list:
                 raise
             if pid == 0:
                 os.close(read)
-                _run_dealt(trial, tokens, chunk, trials, write)
+                _run_dealt(trial, _dealt(tokens, chunk, trials), write)
             os.close(write)
             children[read] = (open(read, "rb"), pid)
             finished.register(read, select.POLLIN)

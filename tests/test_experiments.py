@@ -280,8 +280,8 @@ def _pid_and_neg(parent: int, i: int) -> tuple[int, int]:
 
 
 def test_a_slow_worker_leaves_the_queue_to_the_parent(monkeypatch):
-    # Dealt in fixed turns, the parent ran trial 0 and every second trial
-    # after it, 20 of 40, however long the worker's trials took.
+    # A fixed split, the parent taking trial 0 and every second trial after
+    # it, gives the parent 20 of 40 however long the worker's trials take.
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(experiments, "_FORK_START_S", 0.0)
     parent = os.getpid()
