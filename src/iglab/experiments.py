@@ -259,7 +259,7 @@ def _map_trials(trial, trials: int, workers: int | None) -> list:
     left as 4-byte tokens into a new pipe, closes its write end and forks the
     workers. Every process, the parent included, takes one token at a time
     and runs its trials until the pipe is empty (_dealt), so no process sits
-    idle while another has trials queued. At most 1024 tokens (4096 bytes)
+    idle while trials are still queued. At most 1024 tokens (4096 bytes)
     are written, in one write that fits an empty pipe, whose capacity is at
     least one page, so it never blocks; with more trials left, a token
     stands for a chunk of ceil(left / 1024) consecutive trials. Each worker
