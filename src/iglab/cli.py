@@ -37,6 +37,7 @@ from .experiments import (
     gap_test,
     resolve_workers,
     run_resilience_trials,
+    sweep_axis_type,
     sweep_experiment,
 )
 from .generators import gen_model_graph, trial_rng
@@ -48,6 +49,7 @@ from .theory import (
     approx_edge_prob_overlap,
     check_regime,
     edge_prob_overlap_exact,
+    predicted_finite_prob,
     predicted_limit_prob,
     solve_critical,
 )
@@ -130,6 +132,8 @@ def cmd_predict(args) -> int:
     pred = predicted_limit_prob(alpha, args.m)
     print(f"alpha           = {_fmt(alpha)}")
     print(f"predicted limit = {_fmt(pred)}")
+    print(f"finite-n        = {_fmt(predicted_finite_prob(params, args.m))}"
+          "  (exp(-E[X]), X = nodes of degree <= m)")
     for cond in check_regime(params):
         if not cond.ok:
             print(f"regime warning: {cond.name}: {cond.description} "
@@ -208,7 +212,7 @@ def _resolve_run_config(args, want_sweep: bool) -> ExperimentConfig:
         values = args.values or raw.get("values")
         if not axis or not values:
             raise InvalidParameterError("sweep needs an axis and a value list")
-        cast = int if axis in ("n", "K", "P", "m") else float
+        cast = sweep_axis_type(axis)
         sweep = (axis, tuple(_parse(cast, axis, v) for v in values.split(",")))
     return ExperimentConfig(params=ModelParams(**run), m=m, trials=trials,
                             base_seed=seed, sweep=sweep)
@@ -345,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p, need_n=False)
     p.set_defaults(func=cmd_edge_prob)
 
-    p = sub.add_parser("predict", help="scaling deviation and limit probability")
+    p = sub.add_parser("predict", help="scaling deviation, limit and finite-n probabilities")
     _add_model_args(p)
     p.add_argument("-m", type=int, default=0, help="failure budget")
     p.set_defaults(func=cmd_predict)

@@ -11,21 +11,19 @@ stalled node with k - 1 placed neighbours needs one more path, found by one
 breadth-first search through the unplaced nodes; one with fewer runs an
 early-exit augmenting-path search over the graph's own CSR adjacency,
 node-split only implicitly. A disconnected graph fails a check, so k >= 2
-needs no components pass. Even's test takes the CSR arrays: GraphTopology's
-own, or, for a trial's sampled edge array, ones built from it with one sort
-through the helper the GraphTopology constructor uses.
+needs no components pass. is_k_connected is the one decision, for library
+callers and trials alike; only Even's test makes the graph build its CSR.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .errors import InvalidParameterError, OracleRefusedError
-from .graph import GraphTopology, _component_roots, _csr, component_labels, min_degree
+from .graph import GraphTopology, _from_pairs, component_labels, min_degree
 
 _BRUTE_FORCE_NODE_CAP = 16
 
@@ -63,7 +61,8 @@ def remove_nodes(g: GraphTopology, victims) -> GraphTopology:
     alive = np.ones(g.n, dtype=bool)
     alive[[int(v) for v in victims]] = False
     relabel, pairs = np.cumsum(alive) - 1, g.pairs
-    return GraphTopology(g.n - len(victims), relabel[pairs[alive[pairs].all(axis=1)]])
+    # an order-preserving relabel keeps the surviving rows sorted, i < j
+    return _from_pairs(g.n - len(victims), relabel[pairs[alive[pairs].all(axis=1)]])
 
 
 def _adjacency(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:
@@ -254,41 +253,15 @@ def vertex_connectivity(g: GraphTopology) -> int:
 
 def is_k_connected(g: GraphTopology, k: int) -> bool:
     """True iff n >= k+1 and the graph stays connected after removing any
-    k-1 nodes (equivalently kappa >= k)."""
+    k-1 nodes (equivalently kappa >= k). Only Even's test, for k >= 2, reads
+    the CSR; the checks before it read the edge array."""
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
-    degrees = np.diff(g.indptr)
-    return _k_connected(k, degrees, lambda: (np.repeat(np.arange(g.n), degrees), g.indices),
-                        lambda: (g.indptr, g.indices))
-
-
-def _edges_k_connected(n: int, edges: np.ndarray, k: int) -> bool:
-    """is_k_connected of the graph on nodes 0..n-1 whose edges are the
-    distinct int64 rows (i, j), i < j, of `edges`, such as a trial's sampled
-    edges. Its CSR is built, with one sort and without the checks of
-    GraphTopology, only if Even's test runs."""
-    i, j = edges.T
-    return _k_connected(k, np.bincount(edges.ravel(), minlength=n),
-                        lambda: (np.concatenate((i, j)), np.concatenate((j, i))),
-                        lambda: _csr(n, i, j))
-
-
-def _k_connected(k: int, degrees: np.ndarray,
-                 arcs: Callable[[], tuple[np.ndarray, np.ndarray]],
-                 csr: Callable[[], tuple[np.ndarray, np.ndarray]]) -> bool:
-    """The decision of is_k_connected, k >= 1, for the graph whose node
-    degrees are `degrees`. arcs() gives arrays (u, v) that list every edge
-    once in each direction and csr() its CSR arrays (indptr, indices); each
-    is called only when needed. The n > k check and the minimum-degree
-    filter read only the degrees, k = 1 only the arcs, and only Even's test,
-    for k >= 2, the CSR."""
-    n = degrees.size
-    if n < k + 1 or degrees.min() < k:
+    if g.n < k + 1 or min_degree(g) < k:
         return False
     if k == 1:
-        return not _component_roots(n, *arcs()).any()
-    indptr, indices = csr()
-    return _even_k_connected(indptr, indices, _adjacency(indptr, indices), k)
+        return is_connected(g)
+    return _even_k_connected(g.indptr, g.indices, _adjacency(g.indptr, g.indices), k)
 
 
 def survives_node_failures(g: GraphTopology, m: int) -> bool:

@@ -30,11 +30,10 @@ from typing import NoReturn
 
 import numpy as np
 
-from .connectivity import _edges_k_connected, is_k_connected, min_degree_at_least
+from .connectivity import is_k_connected, min_degree_at_least, survives_node_failures
 from .errors import ContainmentViolationError, InvalidParameterError
 from .generators import (
     _check_expected_pairs,
-    _model_edges,
     gen_coupled_pair,
     gen_er,
     gen_model_graph,
@@ -340,8 +339,8 @@ def _map_trials(trial, trials: int, workers: int | None) -> list:
 
 def _resilience_trial(rows: tuple, trials: int, base_seed: int, t: int) -> bool:
     params, m, path = rows[t // trials]
-    rng = trial_rng(base_seed, *path, t % trials)
-    return _edges_k_connected(params.n, _model_edges(params, rng), m + 1)
+    g = gen_model_graph(params, trial_rng(base_seed, *path, t % trials))
+    return survives_node_failures(g, m)
 
 
 def _run_rows(cfg: ExperimentConfig, rows: list, workers: int | None,
@@ -374,6 +373,11 @@ def _run_rows(cfg: ExperimentConfig, rows: list, workers: int | None,
     return results
 
 
+def sweep_axis_type(axis: str) -> type:
+    """The type of a sweep value on `axis`: int for n, K, P and m, else float."""
+    return int if axis in ("n", "K", "P", "m") else float
+
+
 def run_resilience_trials(cfg: ExperimentConfig,
                           workers: int | None = None) -> ExperimentResult:
     """Estimate P[model graph survives m node failures] over cfg.trials
@@ -390,7 +394,7 @@ def sweep_experiment(cfg: ExperimentConfig,
         raise InvalidParameterError("sweep_experiment needs cfg.sweep with a value")
     axis, values = cfg.sweep
     critical = solve_critical(axis, cfg.params, cfg.m)
-    cast = int if axis in ("n", "K", "P", "m") else float
+    cast = sweep_axis_type(axis)
     rows = []
     for j, value in enumerate(values):
         point = {**vars(cfg.params), "m": cfg.m, axis: cast(value)}

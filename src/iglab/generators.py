@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InfeasibleCouplingError, InvalidParameterError
-from .graph import GraphTopology, keys_seen_at_least
+from .graph import GraphTopology, _from_pairs, _split_keys, keys_seen_at_least
 from .theory import ModelParams
 
 # Sampler cutoff between rejection sampling and per-row partial shuffles;
@@ -31,8 +31,8 @@ _REJECTION_DENSITY_CUTOFF = 0.1
 # before the call, in a child at 6.5e6 and 2.0e7 pairs, n = 10^4) is ~6-7
 # bytes per pair for d >= 2 when the keys fit int32 and ~18 when they need
 # int64, ~1.1 GB at the budget; for d = 1, where nearly every pair is an
-# edge, ~19 and ~25. For d = 1, graph_from_rings, GraphTopology included,
-# peaks at ~51-52 bytes per edge.
+# edge, ~19 and ~25. For d = 1, graph_from_rings, which keeps the split
+# pairs as the graph, peaks at ~20 bytes per edge under tracemalloc.
 # The largest count any test or benchmark workload reaches is ~5.0e5
 # (n = 1000, K = 100, P = 10^4), 120 times below; n = 10^5, K = 100,
 # P = 10^4 would need ~5e9.
@@ -172,13 +172,6 @@ def _pairs_from_rings(assign: ObjectAssignment, d: int) -> np.ndarray:
     return _split_keys(_overlap_keys(assign, d), assign.node_count)
 
 
-def _split_keys(keys: np.ndarray, n: int) -> np.ndarray:
-    """The pairs (key // n, key % n) of the keys, as an (E, 2) int64 array."""
-    pairs = np.empty((keys.size, 2), dtype=np.int64)
-    np.divmod(keys, n, out=(pairs[:, 0], pairs[:, 1]))
-    return pairs
-
-
 def _overlap_keys(assign: ObjectAssignment, d: int) -> np.ndarray:
     """Sorted keys i * n + j, i < j, of the node pairs whose rings share >= d
     objects; int32 when every key fits, else int64.
@@ -272,8 +265,7 @@ def graph_from_rings(assign: ObjectAssignment, d: int) -> GraphTopology:
     """Edge (i, j) iff rings i and j share at least d objects."""
     if d < 1:
         raise InvalidParameterError(f"d must be >= 1, got {d}")
-    pairs = _pairs_from_rings(assign, d)
-    return GraphTopology(assign.node_count, pairs)
+    return _from_pairs(assign.node_count, _pairs_from_rings(assign, d))
 
 
 # -- Erdos-Renyi -----------------------------------------------------------
@@ -295,7 +287,7 @@ def gen_er(n: int, p: float, rng: np.random.Generator) -> GraphTopology:
     if p == 0.0 or m_pairs == 0:
         return GraphTopology(n)
     if p == 1.0:
-        return GraphTopology(n, np.stack(np.triu_indices(n, 1), axis=1))
+        return _from_pairs(n, np.stack(np.triu_indices(n, 1), axis=1))
     idx_parts = []
     pos = -1
     expect = p * m_pairs
@@ -306,8 +298,8 @@ def gen_er(n: int, p: float, rng: np.random.Generator) -> GraphTopology:
         idx_parts.append(positions[positions < m_pairs])
         pos = int(positions[-1])
         expect = p * max(0, m_pairs - 1 - pos)
-    idx = np.concatenate(idx_parts)
-    return GraphTopology(n, _decode_pair_index(idx, n))
+    # increasing pair indices decode to pairs in ascending order
+    return _from_pairs(n, _decode_pair_index(np.concatenate(idx_parts), n))
 
 
 # -- full model ------------------------------------------------------------
@@ -315,13 +307,7 @@ def gen_er(n: int, p: float, rng: np.random.Generator) -> GraphTopology:
 def gen_model_graph(params: ModelParams, rng: np.random.Generator) -> GraphTopology:
     """Sample the composed model: d-overlap graph thinned by friendship and
     link survival, i.e. distributed as G_d(n,K,P) intersected with an
-    Erdos-Renyi layer at p = f*g."""
-    return GraphTopology(params.n, _model_edges(params, rng))
-
-
-def _model_edges(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
-    """The edges of a gen_model_graph draw, as the sorted (E, 2) int64 array
-    of its pairs (i, j), i < j. Only the overlap edges are thinned, the
+    Erdos-Renyi layer at p = f*g. Only the overlap edges are thinned, the
     intersection never looks at other pairs, and they are thinned as keys,
     before they are split into pairs."""
     n, K, P = params.n, params.K, params.P
@@ -329,7 +315,7 @@ def _model_edges(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
     keys = _overlap_keys(gen_object_rings_uniform(n, K, P, rng), params.d)
     if params.p < 1.0:
         keys = keys[rng.random(keys.size) < params.p]
-    return _split_keys(keys, n)
+    return _from_pairs(n, _split_keys(keys, n))
 
 
 # -- coupling machinery ------------------------------------------------------

@@ -1,9 +1,11 @@
 """Immutable undirected simple graph on dense integer node ids.
 
-The graph is one CSR adjacency (`indptr`, `indices`) over both directions
-of every edge, with each row sorted and free of repeats. It is built once
-per graph and set read-only, so instances can be shared freely across
-concurrent trial workers. `pairs` and `edges` are derived from it, not stored.
+The graph stores its edges once, as the sorted (E, 2) int64 array `pairs`
+of distinct rows (i, j), i < j: the form every sampler produces. Its CSR
+adjacency (`indptr`, `indices`, both directions of every edge, each row
+sorted) is built from `pairs` on first access and kept. Every array is
+read-only, so instances can be shared across threads; two threads that
+reach a graph's CSR first may both build it, and build the same arrays.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ class GraphTopology:
     array; pairs are normalised to i < j and duplicates dropped.
     """
 
-    __slots__ = ("n", "indptr", "indices")
+    __slots__ = ("n", "pairs", "_csr_arrays")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray = ()):
         if n < 0:
             raise InvalidParameterError(f"node count must be non-negative, got {n}")
-        self.n = n = int(n)
+        n = int(n)
         ends = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
         if ends.size == 0:
             ends = np.empty((0, 2), dtype=np.int64)
@@ -42,18 +44,30 @@ class GraphTopology:
             if i == j:
                 raise InvalidParameterError(f"self-loop at node {i}")
             raise InvalidParameterError(f"edge ({i},{j}) out of range for n={n}")
-        self.indptr, self.indices = _csr(n, i, j)
-        for a in (self.indptr, self.indices):
-            a.flags.writeable = False
+        keys = np.minimum(i, j)
+        keys *= n
+        keys += np.maximum(i, j)
+        keys = keys_seen_at_least(keys, 1)  # rebinding frees the keys with repeats
+        self._adopt(n, _split_keys(keys, n))
+
+    def _adopt(self, n: int, pairs: np.ndarray) -> None:
+        pairs.flags.writeable = False
+        self.n, self.pairs, self._csr_arrays = n, pairs, None
 
     # -- queries ---------------------------------------------------------
 
     @property
-    def pairs(self) -> np.ndarray:
-        """The edges as a sorted (E, 2) int64 array of rows (i, j), i < j."""
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        upper = rows < self.indices
-        return np.stack((rows[upper], self.indices[upper]), axis=1)
+    def indptr(self) -> np.ndarray:
+        return self._ensure_csr()[0]
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self._ensure_csr()[1]
+
+    def _ensure_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._csr_arrays is None:
+            self._csr_arrays = _csr(self.n, self.pairs)
+        return self._csr_arrays
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -72,29 +86,46 @@ class GraphTopology:
         return len(self.neighbors(i))
 
     def edge_count(self) -> int:
-        return self.indices.size // 2
+        return len(self.pairs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GraphTopology):
             return NotImplemented
-        # node v occurs deg(v) times in indices, so they fix indptr too
-        return self.n == other.n and np.array_equal(self.indices, other.indices)
+        return self.n == other.n and np.array_equal(self.pairs, other.pairs)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.indices.tobytes()))
+        return hash((self.n, self.pairs.tobytes()))
 
     def __repr__(self) -> str:
         return f"GraphTopology(n={self.n}, edges={self.edge_count()})"
 
 
-def _csr(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR (indptr, indices) over both directions of the edges (i[e], j[e])
-    of a graph on nodes 0..n-1, given as int64 ids of distinct nodes. One
-    sort of the keys row * n + column drops repeated edges and orders every
-    row."""
-    keys = keys_seen_at_least(np.concatenate((i * n + j, j * n + i)), 1)
+def _from_pairs(n: int, pairs: np.ndarray) -> GraphTopology:
+    """The graph whose `pairs` is `pairs`, kept and set read-only, for the
+    internal producers of the constructor's canonical form: sorted, distinct
+    int64 rows (i, j), 0 <= i < j < n. Nothing is checked."""
+    g = object.__new__(GraphTopology)
+    g._adopt(n, pairs)
+    return g
+
+
+def _split_keys(keys: np.ndarray, n: int) -> np.ndarray:
+    """The pairs (key // n, key % n) of the keys, as an (E, 2) int64 array."""
+    pairs = np.empty((keys.size, 2), dtype=np.int64)
+    np.divmod(keys, n, out=(pairs[:, 0], pairs[:, 1]))
+    return pairs
+
+
+def _csr(n: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (indptr, indices) over both directions of the distinct edges
+    (i, j), i < j, that are the rows of `pairs`. One sort of the keys
+    row * n + column orders every row. Both arrays are read-only."""
+    i, j = pairs.T
+    keys = np.concatenate((i * n + j, j * n + i))
+    keys.sort()
     indptr = np.searchsorted(keys, np.arange(n + 1) * n)
     keys -= keys // n * n  # keys % n; numpy's integer % by a scalar is slower
+    indptr.flags.writeable = keys.flags.writeable = False
     return indptr, keys
 
 
@@ -124,26 +155,26 @@ def intersect_graphs(g1: GraphTopology, g2: GraphTopology) -> GraphTopology:
         raise InvalidParameterError(f"node count mismatch: {g1.n} vs {g2.n}")
     n = g1.n
     keys1, keys2 = (pairs[:, 0] * n + pairs[:, 1] for pairs in (g1.pairs, g2.pairs))
-    common = np.intersect1d(keys1, keys2, assume_unique=True)
-    return GraphTopology(n, np.stack((common // n, common % n), axis=1))
+    return _from_pairs(n, _split_keys(np.intersect1d(keys1, keys2, assume_unique=True), n))
 
 
 def min_degree(g: GraphTopology) -> int:
     if g.n < 1:
         raise InvalidParameterError("min_degree requires at least one node")
-    return int(np.diff(g.indptr).min())
+    return int(np.bincount(g.pairs.ravel(), minlength=g.n).min())
 
 
 def degree_histogram(g: GraphTopology) -> dict[int, int]:
     """Map degree value -> number of nodes with that degree."""
-    counts = np.bincount(np.diff(g.indptr)).tolist()
+    counts = np.bincount(np.bincount(g.pairs.ravel(), minlength=g.n)).tolist()
     return {d: c for d, c in enumerate(counts) if c}
 
 
 def component_labels(g: GraphTopology) -> tuple[int, np.ndarray]:
     """(number of components, component label of each node), labels numbered
     in order of each component's smallest node."""
-    roots = _component_roots(g.n, np.repeat(np.arange(g.n), np.diff(g.indptr)), g.indices)
+    i, j = g.pairs.T
+    roots = _component_roots(g.n, np.concatenate((i, j)), np.concatenate((j, i)))
     smallest = roots == np.arange(g.n)
     return int(smallest.sum()), (np.cumsum(smallest) - 1)[roots]
 

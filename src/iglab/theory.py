@@ -207,6 +207,32 @@ def poisson_degree_mean(n: int, t: float, h: int) -> float:
     return math.exp(log_val)
 
 
+def low_degree_mean(params: ModelParams, m: int) -> float:
+    """Exact mean E[X] = n * P[Bin(n - 1, t) <= m] of the number X of nodes
+    of degree at most m, t = edge_prob_model(params). Given a node's ring,
+    every other node is adjacent to it independently with probability t, so
+    each degree is exactly Bin(n - 1, t). The binomial terms are taken in
+    log space, so no factorial or power can overflow."""
+    if m < 0:
+        raise InvalidParameterError(f"failure budget m must be >= 0, got {m}")
+    n, t = params.n, edge_prob_model(params)
+    if m >= n - 1 or t == 0.0:
+        return float(n)
+    if t == 1.0:
+        return 0.0
+    log_t, log_q, log_fact = math.log(t), math.log1p(-t), math.lgamma(n)
+    cdf = sum(math.exp(log_fact - math.lgamma(h + 1) - math.lgamma(n - h)
+                       + h * log_t + (n - 1 - h) * log_q) for h in range(m + 1))
+    return n * min(cdf, 1.0)
+
+
+def predicted_finite_prob(params: ModelParams, m: int) -> float:
+    """Finite-n prediction exp(-E[X]) of staying connected after any m node
+    failures, E[X] = low_degree_mean(params, m): the limit law's Poisson
+    step taken at the exact mean rather than at its limit e^{-alpha}/m!."""
+    return math.exp(-low_degree_mean(params, m))
+
+
 def poisson_pmf(lam: float, ell: int) -> float:
     """Poisson pmf lam^ell exp(-lam)/ell!, evaluated in log space."""
     if lam < 0:

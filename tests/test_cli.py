@@ -18,6 +18,7 @@ from iglab.graph import GraphTopology
 from iglab.theory import (
     ModelParams,
     alpha_from_params,
+    predicted_finite_prob,
     predicted_limit_prob,
     solve_critical,
 )
@@ -75,6 +76,17 @@ def test_predict_output(capsys):
     alpha = alpha_from_params(params, 0)
     assert f"{alpha:.9g}" in out
     assert f"{predicted_limit_prob(alpha, 0):.9g}" in out
+
+
+def test_predict_prints_the_finite_n_prediction_under_the_limit(capsys):
+    base = ModelParams(n=2000, K=36, P=10000, d=2, f=1.0, g=1.0)
+    params = base.replace(g=solve_critical("g", base, 1).value)
+    assert run_cli("predict", "-n", 2000, "-K", 36, "-P", 10000, "-d", 2,
+                   "-g", repr(params.g), "-m", 1) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("predicted limit"))
+    assert lines[at + 1].startswith(f"finite-n        = {predicted_finite_prob(params, 1):.9g} ")
+    assert f"{predicted_finite_prob(params, 1):.4f}" == "0.2520"
 
 
 def test_predict_and_simulate_take_a_failure_budget_past_170(tmp_path, capsys):

@@ -310,9 +310,6 @@ def test_connectivity_matches_networkx_on_glued_graphs(k):
     assert min_degree(cut) >= k and min_degree(joined) >= k
     assert _assert_matches_networkx(cut) < k
     assert _assert_matches_networkx(joined) >= k
-    # a trial decides on its edge array, with a CSR built without GraphTopology
-    assert not connectivity._edges_k_connected(cut.n, cut.pairs, k)
-    assert connectivity._edges_k_connected(joined.n, joined.pairs, k)
 
 
 # -- Even's test: cases where a wrong order, source arc or skip rule fails ---
@@ -404,9 +401,9 @@ def small_graphs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(small_graphs())
-def test_trial_entry_matches_the_graph_entry(g):
+def test_decision_matches_brute_force_on_hypothesis_graphs(g):
     for k in range(1, 5):
-        assert connectivity._edges_k_connected(g.n, g.pairs, k) == is_k_connected(g, k), k
+        assert is_k_connected(g, k) == brute_force_k_connected(g, k), k
 
 
 def _separated_parts(k, seed):

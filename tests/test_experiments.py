@@ -25,7 +25,7 @@ from iglab.experiments import (
     sweep_experiment,
     wilson_interval,
 )
-from iglab.generators import _model_edges, gen_model_graph, trial_rng
+from iglab.generators import gen_model_graph, trial_rng
 from iglab.graph import _component_roots, connected_components, min_degree
 from iglab.theory import ModelParams, alpha_from_params, poisson_pmf, predicted_limit_prob
 
@@ -389,9 +389,9 @@ def test_sweep_refuses_a_bad_row_before_any_trial(monkeypatch, axis, values):
 
     def counting(params, rng):
         calls.append(params)
-        return _model_edges(params, rng)
+        return gen_model_graph(params, rng)
 
-    monkeypatch.setattr(experiments, "_model_edges", counting)
+    monkeypatch.setattr(experiments, "gen_model_graph", counting)
     cfg = ExperimentConfig(params=ModelParams(n=200, K=4, P=30, d=1, f=1.0, g=0.5),
                            m=0, trials=50, base_seed=1, sweep=(axis, values))
     with pytest.raises(InvalidParameterError):
@@ -436,8 +436,8 @@ def test_m_zero_matches_plain_connectivity():
 
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_resilience_trial_matches_the_public_decision(m):
-    # the trial decides on its sampled edge array; on these sparse models some
-    # graphs pass the min-degree filter and still are not (m + 1)-connected
+    # on these sparse models some graphs pass the min-degree filter and still
+    # are not (m + 1)-connected
     gaps = 0
     for params in (ModelParams(n=20, K=4, P=80, d=1, f=1.0, g=1.0),
                    ModelParams(n=12, K=3, P=20, d=1, f=1.0, g=1.0)):
@@ -447,7 +447,7 @@ def test_resilience_trial_matches_the_public_decision(m):
             verdict = survives_node_failures(g, m)
             assert experiments._resilience_trial(rows, 100, 7, i) == verdict
             gaps += min_degree(g) > m and not verdict
-            a, b = _model_edges(params, trial_rng(7, i)).T
+            a, b = gen_model_graph(params, trial_rng(7, i)).pairs.T
             roots = _component_roots(g.n, np.concatenate((a, b)), np.concatenate((b, a)))
             assert (roots == np.arange(g.n)).sum() == len(connected_components(g))
     assert gaps > 0

@@ -6,10 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from iglab import graph
+from iglab.connectivity import is_k_connected, remove_nodes, vertex_connectivity
 from iglab.errors import InvalidParameterError
+from iglab.experiments import ExperimentConfig, run_resilience_trials
 from iglab.generators import (
+    gen_coupled_pair,
     gen_er,
     gen_model_graph,
+    gen_object_rings_binomial,
     gen_object_rings_uniform,
     graph_from_rings,
     trial_rng,
@@ -71,14 +76,15 @@ def test_construction_memory_per_edge():
     set (n = 2000, K = 20, P = 400: about 1.3e6 edges), read by tracemalloc,
     which sees every numpy allocation. The input array is made before tracing.
 
-    Held: the CSR is 2E int64 column ids, 16 B/edge, plus n + 1 row offsets.
-    The bound of 17 leaves room for those offsets and nothing more, so any
+    Held: the (E, 2) int64 pairs, 16 B/edge; the CSR is not built. The
+    bound of 17 leaves room for nothing more, so a CSR built eagerly or any
     second stored copy of the edges (at least 8 B/edge more) fails it.
-    Peak: the keys of both directions are sorted in place, so the keys and
-    the de-duplicated result are alive at once (2 x 16 B/edge) plus two
-    boolean run masks (2 x 2), 36 B/edge. The bound of 40 allows that and
-    fails a build that sorts a copy of the keys (52) or also keeps the keys
-    of one direction or an (E, 2) pair array next to them (52 or more).
+    Peak: the keys i * n + j (8 B/edge) are sorted in place and their
+    distinct values gathered (8 more, plus a 1 B run mask); the keys with
+    repeats are freed before the distinct ones are split into the pairs, so
+    at most 24-25 B/edge are alive at once. The bound of 40 allows that and
+    fails a build that sorts both directions' keys (32 or more) next to the
+    pairs it returns.
     """
     g = graph_from_rings(gen_object_rings_uniform(2000, 20, 400, trial_rng(0, 0)), 1)
     pairs, edges = g.pairs, g.edge_count()
@@ -92,6 +98,93 @@ def test_construction_memory_per_edge():
     assert rebuilt == g
     assert held / edges <= 17, f"held {held / edges:.1f} B/edge"
     assert peak / edges <= 40, f"peak {peak / edges:.1f} B/edge"
+
+
+def test_d1_overlap_graph_memory_per_edge():
+    """graph_from_rings keeps the sorted pairs it splits from the overlap
+    keys as the graph, with no second build. On the ring set above it holds
+    16 B/edge and peaks near 20 (the split pairs next to the int32 keys);
+    a build that also sorted the edges again, as GraphTopology's checked
+    constructor does, peaked at 51."""
+    assign = gen_object_rings_uniform(2000, 20, 400, trial_rng(0, 0))
+    tracemalloc.start()
+    try:
+        g = graph_from_rings(assign, 1)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    edges = g.edge_count()
+    assert edges > 10**6
+    assert held / edges <= 17, f"held {held / edges:.1f} B/edge"
+    assert peak / edges <= 24, f"peak {peak / edges:.1f} B/edge"
+
+
+def _ragged_rings(n, P, seed):
+    return gen_object_rings_binomial(n, 0.08, P, trial_rng(seed, 0))
+
+
+# Every producer that skips the constructor's checks, by name.
+_PRODUCERS = {
+    "model-thinned": lambda: gen_model_graph(
+        ModelParams(n=200, K=12, P=300, d=2, f=1.0, g=0.6), trial_rng(3, 0)),
+    "model-p1": lambda: gen_model_graph(
+        ModelParams(n=200, K=12, P=300, d=2, f=1.0, g=1.0), trial_rng(3, 1)),
+    "rings-matrix-d1": lambda: graph_from_rings(
+        gen_object_rings_uniform(150, 4, 100, trial_rng(3, 2)), 1),
+    "rings-matrix-d2": lambda: graph_from_rings(
+        gen_object_rings_uniform(150, 12, 100, trial_rng(3, 3)), 2),
+    "rings-ragged-d1": lambda: graph_from_rings(_ragged_rings(150, 60, 4), 1),
+    "rings-ragged-d2": lambda: graph_from_rings(_ragged_rings(150, 100, 5), 2),
+    "er-p0": lambda: gen_er(50, 0.0, trial_rng(3, 6)),
+    "er-sparse": lambda: gen_er(300, 0.03, trial_rng(3, 7)),
+    "er-p1": lambda: gen_er(40, 1.0, trial_rng(3, 8)),
+    "intersect": lambda: intersect_graphs(gen_er(200, 0.3, trial_rng(3, 9)),
+                                          gen_er(200, 0.3, trial_rng(3, 10))),
+    "remove-nodes": lambda: remove_nodes(gen_er(120, 0.1, trial_rng(3, 11)),
+                                         range(0, 120, 7)),
+    "coupled-h": lambda: gen_coupled_pair(200, 50, 500, 2, trial_rng(3, 12)).h,
+    "coupled-g": lambda: gen_coupled_pair(200, 50, 500, 2, trial_rng(3, 12)).g,
+}
+
+
+@pytest.mark.parametrize("producer", sorted(_PRODUCERS))
+def test_internal_producers_return_canonical_pairs(producer):
+    g = _PRODUCERS[producer]()
+    pairs = g.pairs
+    assert pairs.dtype == np.int64 and pairs.shape == (g.edge_count(), 2)
+    assert not pairs.flags.writeable
+    i, j = pairs.T
+    assert (0 <= i).all() and (i < j).all() and (j < g.n).all()
+    assert (np.diff(i * g.n + j) > 0).all()
+    assert GraphTopology(g.n, pairs) == g
+    assert g.edge_count() > 0 or producer == "er-p0"
+
+
+def test_csr_is_built_only_when_needed(monkeypatch):
+    calls = []
+    build = graph._csr
+
+    def counted(n, pairs):
+        calls.append(n)
+        return build(n, pairs)
+
+    monkeypatch.setattr(graph, "_csr", counted)
+    params = ModelParams(n=300, K=38, P=4000, d=2, f=1.0, g=1.0)
+    g = gen_model_graph(params, trial_rng(2024, 300, 0))
+    other = gen_model_graph(params, trial_rng(2024, 300, 1))
+    assert is_k_connected(g, 1)
+    assert min_degree(g) >= 3  # so k = 3 reaches Even's test
+    degree_histogram(g)
+    connected_components(g)
+    intersect_graphs(g, other)
+    dump_edge_list(g)
+    run_resilience_trials(ExperimentConfig(params, 0, 3, 1), workers=1)
+    assert calls == []
+    for _ in range(2):
+        is_k_connected(g, 3)
+    vertex_connectivity(g)
+    assert calls == [300]
+    assert not g.indptr.flags.writeable and not g.indices.flags.writeable
 
 
 def test_intersect_trivial_cases():

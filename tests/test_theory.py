@@ -17,8 +17,10 @@ from iglab.theory import (
     edge_prob_model,
     edge_prob_overlap,
     edge_prob_overlap_exact,
+    low_degree_mean,
     poisson_degree_mean,
     poisson_pmf,
+    predicted_finite_prob,
     predicted_limit_prob,
     solve_critical,
 )
@@ -272,6 +274,37 @@ def test_poisson_degree_means_sum_to_n():
     n, t = 500, 0.01
     total = sum(poisson_degree_mean(n, t, h) for h in range(200))
     assert total == pytest.approx(n, rel=1e-6)
+
+
+def test_finite_prediction_pins_the_roadmap_cells():
+    # n = 2000, K = 36, P = 10^4, d = 2 at alpha = 0, that is g = g*(m)
+    base = ModelParams(n=2000, K=36, P=10 ** 4, d=2, f=1.0, g=1.0)
+    for m, mean, prob in ((0, 0.98938, 0.3718), (1, 1.37827, 0.2520), (2, 1.36908, 0.2543)):
+        params = base.replace(g=solve_critical("g", base, m).value)
+        assert abs(alpha_from_params(params, m)) < 1e-9
+        assert low_degree_mean(params, m) == pytest.approx(mean, abs=1e-5)
+        assert round(predicted_finite_prob(params, m), 4) == prob
+
+
+@pytest.mark.parametrize("n, K, P, d, g", [(2, 1, 3, 1, 0.5), (5, 2, 6, 1, 0.9),
+                                           (12, 3, 20, 2, 1.0), (40, 6, 50, 2, 0.3)])
+def test_low_degree_mean_matches_a_direct_binomial_sum(n, K, P, d, g):
+    params = ModelParams(n=n, K=K, P=P, d=d, f=1.0, g=g)
+    t = edge_prob_model(params)
+    assert 0.0 < t < 1.0
+    for m in range(n + 2):
+        cdf = sum(math.comb(n - 1, h) * t ** h * (1 - t) ** (n - 1 - h)
+                  for h in range(min(m, n - 1) + 1))
+        assert low_degree_mean(params, m) == pytest.approx(n * cdf, rel=1e-12, abs=1e-300)
+        assert predicted_finite_prob(params, m) == pytest.approx(math.exp(-n * cdf), rel=1e-12)
+
+
+def test_low_degree_mean_edge_cases():
+    assert low_degree_mean(ModelParams(n=30, K=3, P=10, d=1, f=0.0, g=1.0), 0) == 30.0
+    assert low_degree_mean(ModelParams(n=30, K=3, P=3, d=1, f=1.0, g=1.0), 28) == 0.0
+    assert low_degree_mean(ModelParams(n=30, K=3, P=3, d=1, f=1.0, g=1.0), 29) == 30.0
+    with pytest.raises(InvalidParameterError):
+        low_degree_mean(ModelParams(n=30, K=3, P=10, d=1, f=1.0, g=1.0), -1)
 
 
 def test_poisson_pmf():
