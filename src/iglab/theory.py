@@ -212,7 +212,12 @@ def low_degree_mean(params: ModelParams, m: int) -> float:
     of degree at most m, t = edge_prob_model(params). Given a node's ring,
     every other node is adjacent to it independently with probability t, so
     each degree is exactly Bin(n - 1, t). The binomial terms are taken in
-    log space, so no factorial or power can overflow."""
+    log space, so no factorial or power can overflow.
+
+    The terms rise up to h = n t and fall after it, so the sum runs away
+    from that peak, over h <= m when m < n t and else over the tail h > m,
+    and stops at the first term too small to change it. It takes a few
+    standard deviations' worth of terms, not m + 1, so a huge m is cheap."""
     if m < 0:
         raise InvalidParameterError(f"failure budget m must be >= 0, got {m}")
     n, t = params.n, edge_prob_model(params)
@@ -221,9 +226,15 @@ def low_degree_mean(params: ModelParams, m: int) -> float:
     if t == 1.0:
         return 0.0
     log_t, log_q, log_fact = math.log(t), math.log1p(-t), math.lgamma(n)
-    cdf = sum(math.exp(log_fact - math.lgamma(h + 1) - math.lgamma(n - h)
-                       + h * log_t + (n - 1 - h) * log_q) for h in range(m + 1))
-    return n * min(cdf, 1.0)
+    below = m < n * t
+    total = 0.0
+    for h in range(m, -1, -1) if below else range(m + 1, n):
+        term = math.exp(log_fact - math.lgamma(h + 1) - math.lgamma(n - h)
+                        + h * log_t + (n - 1 - h) * log_q)
+        if total + term == total:
+            break
+        total += term
+    return n * min(total if below else 1.0 - total, 1.0)
 
 
 def predicted_finite_prob(params: ModelParams, m: int) -> float:

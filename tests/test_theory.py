@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -297,6 +298,19 @@ def test_low_degree_mean_matches_a_direct_binomial_sum(n, K, P, d, g):
                   for h in range(min(m, n - 1) + 1))
         assert low_degree_mean(params, m) == pytest.approx(n * cdf, rel=1e-12, abs=1e-300)
         assert predicted_finite_prob(params, m) == pytest.approx(math.exp(-n * cdf), rel=1e-12)
+
+
+def test_low_degree_mean_cost_does_not_grow_with_m():
+    # a sum over every degree 0..m takes ~0.5 us a term, ~12 s for these calls
+    params = ModelParams(n=10 ** 9, K=36, P=10 ** 4, d=2, f=1.0, g=0.95)
+    mid = int(params.n * edge_prob_model(params))  # 6983624, the median degree
+    started = time.perf_counter()
+    assert low_degree_mean(params, 10 ** 7) == params.n
+    assert low_degree_mean(params, 10 ** 5) == 0.0
+    # mid sums the terms below the peak, mid + 1 the tail above it
+    for m in (mid, mid + 1):
+        assert low_degree_mean(params, m) == pytest.approx(params.n / 2, rel=1e-3)
+    assert time.perf_counter() - started < 0.5
 
 
 def test_low_degree_mean_edge_cases():
