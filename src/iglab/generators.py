@@ -27,12 +27,11 @@ from .theory import ModelParams
 _REJECTION_DENSITY_CUTOFF = 0.1
 
 # Most within-object node pairs, sum over objects of C(U_i, 2), that
-# _pairs_from_rings builds. Its peak memory (ru_maxrss rise over the RSS
-# before the call, in a child at 6.5e6 and 2.0e7 pairs, n = 10^4) is ~6-7
-# bytes per pair for d >= 2 when the keys fit int32 and ~18 when they need
-# int64, ~1.1 GB at the budget; for d = 1, where nearly every pair is an
-# edge, ~19 and ~25. For d = 1, graph_from_rings, which keeps the split
-# pairs as the graph, peaks at ~20 bytes per edge under tracemalloc.
+# _overlap_keys builds. graph_from_rings peaks (ru_maxrss rise over the
+# RSS before the call, in a child at 6.5e6 and 2.0e7 pairs, n = 10^4) at
+# ~6-7 bytes per pair for d >= 2 when the keys fit int32 and ~18 when they
+# need int64, ~1.1 GB at the budget; for d = 1, where nearly every pair is
+# an edge, at ~19 and ~25, and at ~20 bytes per edge under tracemalloc.
 # The largest count any test or benchmark workload reaches is ~5.0e5
 # (n = 1000, K = 100, P = 10^4), 120 times below; n = 10^5, K = 100,
 # P = 10^4 would need ~5e9.
@@ -71,11 +70,9 @@ class ObjectAssignment:
 
 @dataclass
 class HalfCountSummary:
-    """Per-object node counts U_i, their halves W_i = floor(U_i/2), and Y."""
+    """Per-object node counts U_i."""
 
     u_counts: np.ndarray
-    w_counts: np.ndarray
-    y: int
 
 
 def _ring_members(assign: ObjectAssignment) -> tuple[np.ndarray, np.ndarray]:
@@ -94,9 +91,8 @@ def _ring_members(assign: ObjectAssignment) -> tuple[np.ndarray, np.ndarray]:
 
 
 def half_count_summary(assign: ObjectAssignment) -> HalfCountSummary:
-    u = np.bincount(_ring_members(assign)[0], minlength=assign.pool_size)
-    w = u // 2
-    return HalfCountSummary(u_counts=u, w_counts=w, y=int(w.sum()))
+    return HalfCountSummary(
+        u_counts=np.bincount(_ring_members(assign)[0], minlength=assign.pool_size))
 
 
 # -- ring samplers ---------------------------------------------------------
@@ -165,12 +161,6 @@ def gen_object_rings_binomial(n: int, x: float, P: int,
 
 
 # -- overlap graph ---------------------------------------------------------
-
-def _pairs_from_rings(assign: ObjectAssignment, d: int) -> np.ndarray:
-    """(E, 2) int64 array of node pairs whose rings share >= d objects, i < j,
-    in ascending order."""
-    return _split_keys(_overlap_keys(assign, d), assign.node_count)
-
 
 def _overlap_keys(assign: ObjectAssignment, d: int) -> np.ndarray:
     """Sorted keys i * n + j, i < j, of the node pairs whose rings share >= d
@@ -265,7 +255,8 @@ def graph_from_rings(assign: ObjectAssignment, d: int) -> GraphTopology:
     """Edge (i, j) iff rings i and j share at least d objects."""
     if d < 1:
         raise InvalidParameterError(f"d must be >= 1, got {d}")
-    return _from_pairs(assign.node_count, _pairs_from_rings(assign, d))
+    n = assign.node_count
+    return _from_pairs(n, _split_keys(_overlap_keys(assign, d), n))
 
 
 # -- Erdos-Renyi -----------------------------------------------------------

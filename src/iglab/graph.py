@@ -75,15 +75,24 @@ class GraphTopology:
         return frozenset(zip(*self.pairs.T.tolist()))
 
     def has_edge(self, i: int, j: int) -> bool:
-        return 0 <= i < self.n and 0 <= j < self.n and j in self.neighbors(i)
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            return False
+        row = self._row(i)
+        at = row.searchsorted(j, side="right")  # just past j, if the row holds it
+        return bool(at and row[at - 1] == j)
 
     def neighbors(self, i: int) -> frozenset[int]:
-        if not 0 <= i < self.n:
-            raise InvalidParameterError(f"node {i} out of range for n={self.n}")
-        return frozenset(self.indices[self.indptr[i]:self.indptr[i + 1]].tolist())
+        return frozenset(self._row(i).tolist())
 
     def degree(self, i: int) -> int:
-        return len(self.neighbors(i))
+        return self._row(i).size
+
+    def _row(self, i: int) -> np.ndarray:
+        """Node i's neighbours, ascending: its row of the CSR."""
+        if not 0 <= i < self.n:
+            raise InvalidParameterError(f"node {i} out of range for n={self.n}")
+        indptr, indices = self._ensure_csr()
+        return indices[indptr[i]:indptr[i + 1]]
 
     def edge_count(self) -> int:
         return len(self.pairs)
@@ -206,9 +215,8 @@ def connected_components(g: GraphTopology) -> list[set[int]]:
     """Maximal mutually-reachable node sets; disjoint cover of all nodes,
     ordered by smallest node."""
     count, labels = component_labels(g)
-    order = np.argsort(labels, kind="stable")
-    blocks = [set(b.tolist()) for b in np.split(order, np.cumsum(np.bincount(labels))[:-1])]
-    return sorted(blocks, key=min) if count else []
+    blocks = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+    return [set(b.tolist()) for b in blocks[:count]]  # no block when n = 0
 
 
 # -- edge-list text format (CLI debug dump) ------------------------------

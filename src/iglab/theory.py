@@ -17,6 +17,7 @@ probed first, so an infeasible K axis is answered at once.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,10 +45,7 @@ class ModelParams:
     def __post_init__(self):
         if self.n < 2:
             raise InvalidParameterError(f"n must be >= 2, got {self.n}")
-        if not (1 <= self.d <= self.K <= self.P):
-            raise InvalidParameterError(
-                f"need 1 <= d <= K <= P, got d={self.d}, K={self.K}, P={self.P}"
-            )
+        _validate_kpd(self.K, self.P, self.d)
         if not (0.0 <= self.f <= 1.0):
             raise InvalidParameterError(f"f must be in [0,1], got {self.f}")
         if not (0.0 <= self.g <= 1.0):
@@ -59,9 +57,7 @@ class ModelParams:
         return self.f * self.g
 
     def replace(self, **kw) -> "ModelParams":
-        vals = dict(n=self.n, K=self.K, P=self.P, d=self.d, f=self.f, g=self.g)
-        vals.update(kw)
-        return ModelParams(**vals)
+        return dataclasses.replace(self, **kw)
 
 
 @dataclass
@@ -207,17 +203,36 @@ def poisson_degree_mean(n: int, t: float, h: int) -> float:
     return math.exp(log_val)
 
 
+def _stirlerr(x: int) -> float:
+    """ln x! - ln(sqrt(2 pi x) (x/e)^x) for x >= 1; past 15 from five terms
+    of its asymptotic series, which reach 1e-16 there."""
+    if x <= 15:
+        return math.lgamma(x + 1) - (x + 0.5) * math.log(x) + x - 0.5 * math.log(2 * math.pi)
+    xx = x * x
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / xx) / xx) / xx) / xx) / x
+
+
+def _bd0(x: int, mu: float) -> float:
+    """x ln(x / mu) + mu - x for x >= 1; near mu as (x - mu) v + 2x (v^3/3 +
+    v^5/5 + ...), v = (x - mu)/(x + mu), whose terms do not cancel."""
+    if abs(x - mu) >= 0.1 * (x + mu):
+        return x * math.log(x / mu) + mu - x
+    v = (x - mu) / (x + mu)  # |v| < 0.1: the terms left out are below 1e-20 of the first
+    return (x - mu) * v + 2 * x * sum(v ** j / j for j in range(3, 21, 2))
+
+
 def low_degree_mean(params: ModelParams, m: int) -> float:
     """Exact mean E[X] = n * P[Bin(n - 1, t) <= m] of the number X of nodes
     of degree at most m, t = edge_prob_model(params). Given a node's ring,
     every other node is adjacent to it independently with probability t, so
-    each degree is exactly Bin(n - 1, t). The binomial terms are taken in
-    log space, so no factorial or power can overflow.
+    each degree is exactly Bin(n - 1, t).
 
     The terms rise up to h = n t and fall after it, so the sum runs away
     from that peak, over h <= m when m < n t and else over the tail h > m,
     and stops at the first term too small to change it. It takes a few
-    standard deviations' worth of terms, not m + 1, so a huge m is cheap."""
+    standard deviations' worth of terms, not m + 1, so a huge m is cheap.
+    Each term is the last times the ratio of neighbours; the first is in
+    Loader's saddle-point form (as in R's dbinom), where nothing grows with n."""
     if m < 0:
         raise InvalidParameterError(f"failure budget m must be >= 0, got {m}")
     n, t = params.n, edge_prob_model(params)
@@ -225,15 +240,19 @@ def low_degree_mean(params: ModelParams, m: int) -> float:
         return float(n)
     if t == 1.0:
         return 0.0
-    log_t, log_q, log_fact = math.log(t), math.log1p(-t), math.lgamma(n)
     below = m < n * t
+    h, q = (m if below else m + 1), 1.0 - t
+    if h in (0, n - 1):
+        term = math.exp(h * math.log(t) + (n - 1 - h) * math.log1p(-t))
+    else:
+        term = math.exp(_stirlerr(n - 1) - _stirlerr(h) - _stirlerr(n - 1 - h)
+                        - _bd0(h, (n - 1) * t) - _bd0(n - 1 - h, (n - 1) * q)
+                        - 0.5 * math.log(2 * math.pi * h * (n - 1 - h) / (n - 1)))
     total = 0.0
-    for h in range(m, -1, -1) if below else range(m + 1, n):
-        term = math.exp(log_fact - math.lgamma(h + 1) - math.lgamma(n - h)
-                        + h * log_t + (n - 1 - h) * log_q)
-        if total + term == total:
-            break
-        total += term
+    while total + term != total:
+        total += term  # then the next term, 0 past h = 0 and h = n - 1
+        term *= h * q / ((n - h) * t) if below else (n - 1 - h) * t / ((h + 1) * q)
+        h += -1 if below else 1
     return n * min(total if below else 1.0 - total, 1.0)
 
 

@@ -289,10 +289,15 @@ def test_one_graph_per_edge_set(a, rnd):
     h = GraphTopology(n, noisy)
     assert h == g and hash(h) == hash(g)
     assert GraphTopology(n, g.pairs) == g
+    # degree and has_edge read the CSR row; both must agree with `edges`,
+    # and has_edge must answer False, as a bool, for ids out of range
+    kept = g.edges
     for v in range(n):
-        nbrs = {u for e in norm if v in e for u in e if u != v}
+        nbrs = {u for e in kept if v in e for u in e if u != v}
         assert g.neighbors(v) == nbrs and g.degree(v) == len(nbrs)
-        assert all(g.has_edge(v, u) == ((min(u, v), max(u, v)) in norm) for u in range(n))
+        answers = [g.has_edge(v, u) for u in range(-1, n + 1)]
+        assert all(type(answer) is bool for answer in answers)
+        assert answers == [(min(u, v), max(u, v)) in kept for u in range(-1, n + 1)]
 
 
 @settings(max_examples=80)

@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
 from iglab.errors import InvalidParameterError
 from iglab.theory import (
@@ -311,6 +312,19 @@ def test_low_degree_mean_cost_does_not_grow_with_m():
     for m in (mid, mid + 1):
         assert low_degree_mean(params, m) == pytest.approx(params.n / 2, rel=1e-3)
     assert time.perf_counter() - started < 0.5
+
+
+def test_low_degree_terms_sum_to_one_at_large_n():
+    # mid sums the terms h <= mid, about 11 standard deviations of them
+    # before they stop changing the sum, and mid + 1 takes one minus the
+    # terms h >= mid + 2; with the term at mid + 1 they must make 1. Terms
+    # that are exp of lgamma values near 2e10 summed to ~0.9999969 here.
+    params = ModelParams(n=10 ** 9, K=36, P=10 ** 4, d=2, f=1.0, g=0.95)
+    n, t = params.n, edge_prob_model(params)
+    mid = int(n * t)
+    lower = low_degree_mean(params, mid) / n
+    upper = 1.0 - low_degree_mean(params, mid + 1) / n
+    assert lower + binom.pmf(mid + 1, n - 1, t) + upper == pytest.approx(1.0, abs=1e-12)
 
 
 def test_low_degree_mean_edge_cases():
