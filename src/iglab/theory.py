@@ -196,11 +196,7 @@ def poisson_degree_mean(n: int, t: float, h: int) -> float:
         raise InvalidParameterError(f"t must be in [0,1], got {t}")
     if h < 0:
         raise InvalidParameterError(f"h must be >= 0, got {h}")
-    nt = n * t
-    if nt == 0.0:
-        return float(n) if h == 0 else 0.0
-    log_val = math.log(n) + h * math.log(nt) - nt - math.lgamma(h + 1)
-    return math.exp(log_val)
+    return n * poisson_pmf(n * t, h)
 
 
 def _stirlerr(x: int) -> float:

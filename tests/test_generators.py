@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -222,6 +223,16 @@ def test_uniform_rings_validation():
         gen_object_rings_uniform(5, 4, 3, trial_rng(0, 0))
 
 
+@pytest.mark.parametrize("draw", [lambda rng: gen_er(-1, 0.5, rng),
+                                  lambda rng: gen_er(-2, 1.0, rng),
+                                  lambda rng: gen_er(-3, 0.5, rng),
+                                  lambda rng: gen_object_rings_binomial(-1, 0.5, 10, rng)],
+                         ids=["er-1", "er-2-full", "er-3", "binomial-1"])
+def test_samplers_refuse_negative_node_counts(draw):
+    with pytest.raises(InvalidParameterError, match="n must be non-negative"):
+        draw(trial_rng(0, 0))
+
+
 # -- overlap graph -------------------------------------------------------------
 
 def test_graph_from_rings_hand_examples():
@@ -235,8 +246,13 @@ def test_graph_from_rings_hand_examples():
     gaps = assignment(set(), {0, 1}, set(), {1, 2}, {0, 1, 2}, set(), pool=4)
     assert graph_from_rings(gaps, 1).edges == {(1, 3), (1, 4), (3, 4)}
     assert graph_from_rings(gaps, 2).edges == {(1, 4), (3, 4)}
-    nothing = assignment(set(), set(), set(), pool=3)
-    assert graph_from_rings(nothing, 1) == GraphTopology(3)
+    # no node, one node, and rings with no object at all give no edge
+    for n, rings in [(0, np.empty((0, 3), dtype=np.int64)), (0, []),
+                     (1, np.array([[0, 1, 2]])), (1, [np.array([0, 1])]),
+                     (3, [np.empty(0, dtype=np.int64)] * 3)]:
+        assign = ObjectAssignment(rings=rings, pool_size=3)
+        for d in (1, 2):
+            assert graph_from_rings(assign, d) == GraphTopology(n)
 
 
 def test_graph_from_rings_matches_pairwise_intersection():
@@ -384,6 +400,50 @@ def test_gen_er_edge_count_statistics():
     mean = np.mean(totals)
     sigma_mean = math.sqrt(4950 * 0.1 * 0.9 / 1000)
     assert abs(mean - 495.0) < 4 * sigma_mean
+
+
+def test_gen_er_pair_inclusion_frequencies():
+    """Each of the 15 pairs at n = 6, p = 0.3 is an edge in a share of
+    T = 20 000 draws (seeds trial_rng(33, i)) within z = 4 standard errors
+    of p: about 1e-3 family-wise."""
+    n, p, trials = 6, 0.3, 20_000
+    hits = np.zeros(n * n, dtype=np.int64)
+    for i in range(trials):
+        pairs = gen_er(n, p, trial_rng(33, i)).pairs
+        hits[pairs[:, 0] * n + pairs[:, 1]] += 1
+    freq = hits[[i * n + j for i, j in combinations(range(n), 2)]] / trials
+    assert np.abs(freq - p).max() < 4 * math.sqrt(p * (1 - p) / trials), freq
+
+
+def test_gen_er_node_degree_mean():
+    """Node 0's mean degree over T = 2000 draws at n = 200, p = 0.3 (seeds
+    trial_rng(34, i)) lies within z = 4 standard errors of (n - 1) p. Its
+    19 900 pairs are more than 10^4 and its ~6000 edges more than 1/20 of
+    them, so numpy's sampler shuffles the tail of every pair index here
+    rather than running Floyd's algorithm."""
+    n, p, trials = 200, 0.3, 2000
+    degrees = [np.count_nonzero(gen_er(n, p, trial_rng(34, i)).pairs[:, 0] == 0)
+               for i in range(trials)]
+    sigma_mean = math.sqrt((n - 1) * p * (1 - p) / trials)
+    assert abs(np.mean(degrees) - (n - 1) * p) < 4 * sigma_mean
+
+
+def test_gen_er_memory_per_edge():
+    """Peak bytes per edge of one G(2000, 0.004) draw (~8000 edges), read by
+    tracemalloc, which sees every numpy allocation. Floyd's algorithm keeps
+    the drawn pair indices (8 B/edge) and a hash set of a power of two above
+    1.2 times their count (8 B a slot, ~16 B/edge here); decoding them into
+    the (E, 2) pairs adds their row indices, a few temporaries and the
+    pairs. A draw that keeps a gap, a position and a kept index per edge
+    next to its pairs (~70 B/edge) fails the bound."""
+    rng = trial_rng(0, 0)
+    tracemalloc.start()
+    try:
+        g = gen_er(2000, 0.004, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / g.edge_count() <= 50, f"peak {peak / g.edge_count():.1f} B/edge"
 
 
 # -- full model -------------------------------------------------------------------
