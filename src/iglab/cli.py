@@ -20,7 +20,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .errors import (
@@ -229,6 +228,8 @@ def _csv_rows(rows: list[ExperimentResult]) -> str:
 def _write_outputs(csv_text: str, rows: list[ExperimentResult],
                    out_path: Path, cfg: ExperimentConfig,
                    started: str, workers: int) -> None:
+    import scipy  # only here, for its version: off the start-up path
+
     try:
         out_path.write_text(csv_text)
     except OSError as exc:

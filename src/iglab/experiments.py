@@ -52,7 +52,6 @@ from .theory import (
     solve_critical,
 )
 
-WORKERS_ENV_VAR = "RG_LAB_THREADS"
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 DOMINANCE_SLACK = 0.02  # finite-n stand-in for the 1-o(1/ln n) factor
@@ -78,24 +77,15 @@ def _usable_cpus() -> int:
 
 def resolve_workers(workers: int | None, trials: int) -> int:
     """Most processes, the parent included, that a run of `trials` trials
-    may use: `workers` if given, else RG_LAB_THREADS if set, else the usable
-    CPUs, and never more than one per trial or per usable CPU. A given count
-    or RG_LAB_THREADS must be an integer >= 1. Workers are forked, so where
-    os.fork does not exist the count is always 1."""
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV_VAR)
-        try:
-            workers = int(env) if env else _usable_cpus()
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise InvalidParameterError(
-                f"{WORKERS_ENV_VAR} must be an integer >= 1, got {env!r}")
-    elif workers < 1:
+    may use: `workers` (an integer >= 1) if given, else the usable CPUs, and
+    never more than one per trial or per usable CPU. Workers are forked, so
+    where os.fork does not exist the count is always 1."""
+    if workers is not None and workers < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
     if not hasattr(os, "fork"):
         return 1
-    return min(workers, trials, _usable_cpus())
+    cpus = _usable_cpus()
+    return min(workers or cpus, trials, cpus)
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:

@@ -171,18 +171,6 @@ VERIFY_RUNS = {
 }
 
 
-@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2"])
-def test_bad_worker_env_is_a_validation_error(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("RG_LAB_THREADS", value)
-    out = tmp_path / "run.csv"
-    assert run_cli(*SMALL_RUNS["simulate"], "--out", out) == 2
-    assert "RG_LAB_THREADS" in capsys.readouterr().err
-    assert not out.exists()
-    # verify takes no --workers flag but follows the same worker policy
-    assert run_cli(*VERIFY_RUNS["gap"], "--trials", 2) == 2
-    assert "RG_LAB_THREADS" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("subtest", list(VERIFY_RUNS))
 def test_verify_zero_trials_is_a_validation_error(capsys, subtest):
     assert run_cli(*VERIFY_RUNS[subtest], "--trials", 0) == 2
@@ -220,13 +208,15 @@ def test_negative_seed_is_a_validation_error(tmp_path, capsys, command):
 
 
 def test_manifest_records_workers_used(tmp_path, capsys, monkeypatch):
-    # three from the environment, capped at one worker per trial
-    monkeypatch.setenv("RG_LAB_THREADS", "3")
+    # with no --workers, the usable CPUs, capped at one worker per trial
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)  # not by this host's CPUs
     out = tmp_path / "run.csv"
     assert run_cli(*SMALL_RUNS["simulate"], "--out", out) == 0
     manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
     assert manifest["config"]["workers"] == 2
+    assert run_cli(*SMALL_RUNS["simulate"], "--workers", 1, "--out", out) == 0
+    manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+    assert manifest["config"]["workers"] == 1
 
 
 def test_sweep_rows_recompute_predictions(tmp_path, capsys):
@@ -407,29 +397,43 @@ def test_verify_coupling_takes_no_thinning_flags(capsys, flag):
     assert exc.value.code == 2
 
 
-# With two workers the violation may be raised in a worker process and then
-# has to cross the process boundary. Workers are forked, so they see the
-# patched sampler.
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_containment_violation_is_raised_and_exits_4(monkeypatch, capsys, threads):
-    monkeypatch.setenv("RG_LAB_THREADS", threads)
-    # A pair marked valid whose binomial-side graph h has an edge missing from g.
+# With two usable CPUs the parent forks a worker after trial 0, and the
+# violation may be raised in it and then has to cross the process boundary.
+# Workers are forked, so they see the patched sampler.
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_containment_violation_is_raised_and_exits_4(monkeypatch, capsys, cpus):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(experiments, "_FORK_START_S", 0.0)  # workers for any trial cost
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(experiments.os, "fork", counting_fork)
+    # From trial 1 on, a pair marked valid whose binomial-side graph h has an
+    # edge missing from g.
+    good = CoupledPair(h=GraphTopology(4, [(0, 1)]), g=GraphTopology(4, [(0, 1)]),
+                       coupling_valid=True, x=0.1)
     broken = CoupledPair(h=GraphTopology(4, [(0, 1), (2, 3)]),
                          g=GraphTopology(4, [(0, 1), (1, 2)]),
                          coupling_valid=True, x=0.1)
-    monkeypatch.setattr(experiments, "gen_coupled_pair", lambda *args: broken)
-    with pytest.raises(ContainmentViolationError, match="valid trial 0$"):
+    monkeypatch.setattr(experiments, "trial_rng", lambda base_seed, i: i)
+    monkeypatch.setattr(experiments, "gen_coupled_pair",
+                        lambda n, K, P, d, i: broken if i else good)
+    with pytest.raises(ContainmentViolationError, match="valid trial [12]$"):
         experiments.coupling_validity_rate(4, 50, 500, 2, trials=3)
     assert run_cli("verify", "coupling", "-n", 200, "-K", 50, "-P", 500,
                    "-d", 2, "--trials", 3) == 4
     assert "invariant violation" in capsys.readouterr().err
+    assert len(forks) == (2 if cpus == 2 else 0)  # one worker per run
 
 
 def test_containment_violation_in_a_worker_names_its_trial(monkeypatch, capsys):
     # The parent runs trial 0, then forks; every trial a worker runs draws the
     # broken pair. The parent's trials take 10 ms, so that the worker takes
     # some before the parent has run them all.
-    monkeypatch.setenv("RG_LAB_THREADS", "2")
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(experiments, "_FORK_START_S", 0.0)
     good = CoupledPair(h=GraphTopology(4, [(0, 1)]), g=GraphTopology(4, [(0, 1)]),
@@ -568,9 +572,9 @@ def test_rational_past_the_int_string_limit_is_not_printed():
 
 
 # Start-up time is almost all imports, and a simulate or sweep run needs
-# numpy and the top-level scipy package (for its version) only. These
-# modules would each add time: scipy.special serves just the verify-degree
-# chi-square, which imports it where it runs.
+# numpy and, once its trials are done, the top-level scipy package (for the
+# manifest's version) only. These modules would each add time: scipy.special
+# serves just the verify-degree chi-square, which imports it where it runs.
 HEAVY_MODULES = ("scipy.sparse", "scipy.special", "scipy.linalg", "scipy.stats",
                  "scipy.optimize", "networkx", "hypothesis")
 
@@ -584,7 +588,26 @@ def loaded_heavy_modules(code):
 
 
 def test_cli_import_leaves_heavy_modules_unloaded():
-    assert loaded_heavy_modules("import iglab.cli") == "[]"
+    # nor scipy itself: _write_outputs imports it, for the manifest
+    code = "import iglab.cli, sys\nassert 'scipy' not in sys.modules"
+    assert loaded_heavy_modules(code) == "[]"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no CPU affinity mask on this platform")
+def test_simulate_sizes_itself_from_the_affinity_mask(tmp_path):
+    # the real mask, set in a child on itself, not a patched _usable_cpus
+    out = tmp_path / "run.csv"
+    argv = [*map(str, SMALL_RUNS["simulate"]), "--out", str(out)]
+    code = ("import os\nfrom iglab.cli import main\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            f"assert main({argv!r}) == 0")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+    assert manifest["config"]["workers"] == 1
+    assert manifest["environment"]["scipy"]
 
 
 def test_simulate_and_sweep_runs_leave_heavy_modules_unloaded(tmp_path):

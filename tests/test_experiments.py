@@ -79,9 +79,8 @@ def test_worker_count_is_capped_at_cpus_and_trials(monkeypatch):
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
     assert experiments.resolve_workers(10 ** 6, 10 ** 6) == 3
     assert experiments.resolve_workers(8, 2) == 2
-    monkeypatch.setenv("RG_LAB_THREADS", str(10 ** 6))
     assert experiments.resolve_workers(None, 10 ** 6) == 3
-    monkeypatch.delenv("RG_LAB_THREADS")
+    assert experiments.resolve_workers(None, 2) == 2
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
     assert experiments.resolve_workers(None, 10) == 1
     assert experiments.resolve_workers(4, 10) == 1
@@ -415,10 +414,14 @@ def test_verify_reports_do_not_depend_on_worker_count(monkeypatch):
                 gap_test(params, trials=30, k=2, base_seed=3),
                 coupling_validity_rate(200, 50, 500, 2, trials=6, base_seed=3))
 
-    monkeypatch.setenv("RG_LAB_THREADS", "1")
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
     serial = reports()
-    monkeypatch.setenv("RG_LAB_THREADS", "2")
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(experiments, "_FORK_START_S", 0.0)  # workers for any trial cost
+    forks = _count_forks(monkeypatch)
     assert reports() == serial
+    assert len(forks) == 4  # one worker for each of the four trial maps
+    _assert_no_child_left()
 
 
 def test_m_zero_matches_plain_connectivity():
